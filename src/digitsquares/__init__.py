@@ -6,14 +6,13 @@ verifies their sums exactly, rotates and mirrors them the way a seven
 segment display would, and draws them.
 """
 
-from .core import (Alphabet, CodeWord, DigitMap, LayerStack, MIRROR,
-                   NonMirrorableDigit, NonRotatableDigit, ROTATION_180,
-                   ShapeMismatch, Square, decompose, mirror_codeword,
-                   mirror_square, palindromic_extend, recompose,
-                   rotate_codeword, rotate_square)
-from .generate import (BudgetExhausted, Layer, OracleTooLarge, SearchSpec,
-                       Unsatisfiable, bimagic_search, brute_force_squares,
-                       compose_blocks, gen_layers, gen_square, stack_layers)
+from .core import (Alphabet, CodeWord, DigitMap, MIRROR, NonMirrorableDigit,
+                   NonRotatableDigit, ROTATION_180, ShapeMismatch, Square,
+                   decompose, mirror_codeword, mirror_square,
+                   palindromic_extend, recompose, rotate_codeword,
+                   rotate_square)
+from .generate import (BudgetExhausted, SearchSpec, Unsatisfiable,
+                       bimagic_search, compose_blocks, gen_square)
 from .sevenseg import (MalformedBlock, SegmentGlyph, render_codeword,
                        render_square, rotate_text)
 from .verify import (BadBlockSize, ClaimAudit, EntryProperties, InvalidState,
@@ -26,16 +25,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "BadBlockSize", "BudgetExhausted", "ClaimAudit", "CodeWord",
-    "DigitMap", "EntryProperties", "InvalidState", "Layer", "LayerStack",
-    "LineSum", "MIRROR", "MalformedBlock", "NonMirrorableDigit",
-    "NonRotatableDigit", "NotDivisible", "OracleTooLarge", "PropertyReport",
-    "PythagorasResult", "ROTATION_180", "SearchSpec", "SegmentGlyph",
-    "ShapeMismatch", "Square", "Unsatisfiable", "audit_published_values",
-    "bimagic_search", "brute_force_squares", "check_bimagic", "check_blocks",
-    "check_magic", "check_pandiagonal", "compose_blocks", "decompose",
-    "entry_properties", "gen_layers", "gen_square", "line_sums",
+    "DigitMap", "EntryProperties", "InvalidState", "LineSum", "MIRROR",
+    "MalformedBlock", "NonMirrorableDigit", "NonRotatableDigit",
+    "NotDivisible", "PropertyReport", "PythagorasResult", "ROTATION_180",
+    "SearchSpec", "SegmentGlyph", "ShapeMismatch", "Square", "Unsatisfiable",
+    "audit_published_values", "bimagic_search", "check_bimagic",
+    "check_blocks", "check_magic", "check_pandiagonal", "compose_blocks",
+    "decompose", "entry_properties", "gen_square", "line_sums",
     "mirror_codeword", "mirror_square", "palindromic_extend",
     "pythagoras_check", "recompose", "render_codeword", "render_square",
     "report", "rotate_codeword", "rotate_square", "rotate_text",
-    "s2_from_multiset", "stack_layers", "__version__",
+    "s2_from_multiset", "__version__",
 ]

@@ -25,9 +25,8 @@ import sys
 from dataclasses import dataclass
 
 from . import generate, sevenseg, verify
-from .core import (Alphabet, NonMirrorableDigit, NonRotatableDigit,
-                   ShapeMismatch, Square, decompose, mirror_square,
-                   rotate_square)
+from .core import (Alphabet, ShapeMismatch, Square, UnmappableDigit, decompose,
+                   is_digit_string, mirror_square, recompose, rotate_square)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -67,16 +66,18 @@ class SquareDocument:
         if not isinstance(width, int) or width < 1:
             raise DocumentError(f"width must be a positive integer, got {width!r}")
         alphabet = obj.get("alphabet")
-        if alphabet is not None and (not isinstance(alphabet, str)
-                                     or not alphabet.isdigit()):
-            raise DocumentError(f"alphabet must be a digit string, got {alphabet!r}")
+        if alphabet is not None:
+            try:
+                Alphabet.from_string(alphabet)
+            except ValueError as exc:
+                raise DocumentError(str(exc)) from None
         if not isinstance(rows, list) or len(rows) != order:
             raise DocumentError(f"rows must be a list of {order} rows")
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != order:
                 raise DocumentError(f"row {i} must be a list of {order} cells")
             for j, cell in enumerate(row):
-                if not isinstance(cell, str) or not cell.isdigit():
+                if not is_digit_string(cell):
                     raise DocumentError(
                         f"cell ({i}, {j}) must be a digit string, got {cell!r}")
                 if len(cell) != width:
@@ -131,7 +132,7 @@ def _parse_csv(text: str) -> SquareDocument:
     lines = text.splitlines()
     header = lines[0].lstrip("#").strip()
     parts = [p.strip() for p in header.split(",")]
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(is_digit_string(p) for p in parts):
         raise DocumentError(
             f"line 1: header must be '# order,width', got {lines[0]!r}")
     order, width = int(parts[0]), int(parts[1])
@@ -293,7 +294,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             result = rotate_square(square)
         else:
             result = mirror_square(square)
-    except (NonRotatableDigit, NonMirrorableDigit) as exc:
+    except UnmappableDigit as exc:
         print(f"cannot transform: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     doc = SquareDocument.from_square(result).to_json_dict()
@@ -312,18 +313,16 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     square = load_document(args.square).to_square()
-    stack = decompose(square)
     layers = []
-    for p, grid in enumerate(stack.layers):
-        plane = Square.from_strings([[str(d) for d in row] for row in grid])
+    for p, grid in enumerate(decompose(square)):
         layers.append({
             "place": p,
-            "scale": 10 ** (stack.width - 1 - p),
-            "line_sum": verify.check_magic(plane),
+            "scale": 10 ** (square.width - 1 - p),
+            "line_sum": verify.check_magic(recompose((grid,))),
             "rows": [list(row) for row in grid],
         })
     if args.format == "json":
-        print(json.dumps({"order": stack.order, "width": stack.width,
+        print(json.dumps({"order": square.order, "width": square.width,
                           "layers": layers}, indent=2))
     else:
         for entry in layers:
@@ -407,13 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ShapeMismatch, verify.InvalidState) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DocumentError, ShapeMismatch, verify.InvalidState, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

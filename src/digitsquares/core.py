@@ -19,43 +19,59 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
-class NonRotatableDigit(ValueError):
-    """A digit with no image under the half-turn digit map.
+class UnmappableDigit(ValueError):
+    """A digit with no image under the digit map of a transform.
 
-    ``position`` is the index of the offending digit inside its code word.
-    When the failure happens while transforming a whole square, ``row`` and
-    ``col`` locate the offending cell.
+    ``position`` is the index of the offending digit inside its code word,
+    or None when the digit belongs to the square's alphabet rather than to a
+    cell. When the failure happens while transforming a whole square, ``row``
+    and ``col`` locate the offending cell.
     """
 
-    def __init__(self, position: int, digit: int,
+    transform = "the transform"
+
+    def __init__(self, position: int | None, digit: int,
                  row: int | None = None, col: int | None = None):
         self.position = position
         self.digit = digit
         self.row = row
         self.col = col
-        where = f"digit {digit} at position {position}"
-        if row is not None:
-            where += f" in cell ({row}, {col})"
-        super().__init__(f"{where} does not survive a 180 degree rotation")
+        if position is None:
+            where = f"alphabet digit {digit}"
+        else:
+            where = f"digit {digit} at position {position}"
+            if row is not None:
+                where += f" in cell ({row}, {col})"
+        super().__init__(f"{where} does not survive {self.transform}")
 
 
-class NonMirrorableDigit(ValueError):
+class NonRotatableDigit(UnmappableDigit):
+    """A digit with no image under the half-turn digit map."""
+
+    transform = "a 180 degree rotation"
+
+
+class NonMirrorableDigit(UnmappableDigit):
     """A digit with no image under the mirror digit map."""
 
-    def __init__(self, position: int, digit: int,
-                 row: int | None = None, col: int | None = None):
-        self.position = position
-        self.digit = digit
-        self.row = row
-        self.col = col
-        where = f"digit {digit} at position {position}"
-        if row is not None:
-            where += f" in cell ({row}, {col})"
-        super().__init__(f"{where} does not survive mirroring")
+    transform = "mirroring"
 
 
 class ShapeMismatch(ValueError):
-    """Layers, cells or blocks whose dimensions do not agree."""
+    """Planes, cells or blocks whose dimensions do not agree."""
+
+
+#: A digit plane: ``plane[i][j]`` is the digit at one place of cell (i, j).
+Grid = tuple[tuple[int, ...], ...]
+
+
+def is_digit_string(text: object) -> bool:
+    """Whether ``text`` is a non-empty string of ASCII digits 0-9.
+
+    ``str.isdigit`` alone also accepts characters such as "²" or "٣", which
+    ``int`` then rejects or reads as a digit they do not look like.
+    """
+    return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -119,7 +135,7 @@ class Alphabet:
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
         """Parse an alphabet from a digit string such as "012"."""
-        if not text.isdigit():
+        if not is_digit_string(text):
             raise ValueError(f"alphabet must be decimal digits, got {text!r}")
         return cls(tuple(int(c) for c in text))
 
@@ -159,7 +175,7 @@ class CodeWord:
 
     @classmethod
     def from_string(cls, text: str) -> "CodeWord":
-        if not text or not text.isdigit():
+        if not is_digit_string(text):
             raise ValueError(f"not a digit string: {text!r}")
         return cls(tuple(int(c) for c in text))
 
@@ -242,61 +258,18 @@ class Square:
         return [c for row in self.cells for c in row]
 
 
-@dataclass(frozen=True)
-class LayerStack:
-    """A square split into digit planes.
-
-    ``layers[p][i][j]`` is the digit at place ``p`` (most significant first)
-    of the cell at row ``i``, column ``j``. Stacking the planes back up is
-    exact: cell value = sum over p of layer digit * 10**(width-1-p).
-    """
-
-    layers: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ShapeMismatch("need at least one layer")
-        n = len(self.layers[0])
-        for p, layer in enumerate(self.layers):
-            if len(layer) != n:
-                raise ShapeMismatch(
-                    f"layer {p} has order {len(layer)}, expected {n}")
-            for i, row in enumerate(layer):
-                if len(row) != n:
-                    raise ShapeMismatch(
-                        f"layer {p} row {i} has {len(row)} entries, "
-                        f"expected {n}")
-                for d in row:
-                    if not isinstance(d, int) or not 0 <= d <= 9:
-                        raise ValueError(f"not a decimal digit: {d!r}")
-
-    @property
-    def order(self) -> int:
-        return len(self.layers[0])
-
-    @property
-    def width(self) -> int:
-        return len(self.layers)
-
-
 def rotate_codeword(word: CodeWord, digit_map: DigitMap = ROTATION_180) -> CodeWord:
     """Read a code word upside down: reverse it, substitute every digit.
 
     Raises NonRotatableDigit at the first digit (left to right) outside the
     map's domain.
     """
-    for pos, d in enumerate(word.digits):
-        if d not in digit_map:
-            raise NonRotatableDigit(pos, d)
-    return CodeWord(tuple(digit_map[d] for d in reversed(word.digits)))
+    return _reflect_codeword(word, digit_map, NonRotatableDigit)
 
 
 def mirror_codeword(word: CodeWord, digit_map: DigitMap = MIRROR) -> CodeWord:
     """Read a code word in a mirror: reverse it, substitute every digit."""
-    for pos, d in enumerate(word.digits):
-        if d not in digit_map:
-            raise NonMirrorableDigit(pos, d)
-    return CodeWord(tuple(digit_map[d] for d in reversed(word.digits)))
+    return _reflect_codeword(word, digit_map, NonMirrorableDigit)
 
 
 def rotate_square(square: Square, digit_map: DigitMap = ROTATION_180) -> Square:
@@ -305,64 +278,71 @@ def rotate_square(square: Square, digit_map: DigitMap = ROTATION_180) -> Square:
     Cell (i, j) of the result is the rotated cell (n-1-i, n-1-j) of the
     input, so the page reads the same way after physically turning it.
     """
-    n = square.order
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            src = square.cells[n - 1 - i][n - 1 - j]
-            try:
-                row.append(rotate_codeword(src, digit_map))
-            except NonRotatableDigit as exc:
-                raise NonRotatableDigit(exc.position, exc.digit,
-                                        row=n - 1 - i, col=n - 1 - j) from None
-        rows.append(tuple(row))
-    return Square(tuple(rows), _mapped_alphabet(square.alphabet, digit_map))
+    return _reflect_square(square, digit_map, flip_rows=True)
 
 
 def mirror_square(square: Square, digit_map: DigitMap = MIRROR) -> Square:
     """Reflect the square left to right, mirroring every cell."""
+    return _reflect_square(square, digit_map, flip_rows=False)
+
+
+def _reflect_codeword(word: CodeWord, digit_map: DigitMap,
+                      error: type[UnmappableDigit], row: int | None = None,
+                      col: int | None = None) -> CodeWord:
+    # both a half turn and a mirror read the digits right to left
+    try:
+        return CodeWord(tuple(digit_map[d] for d in reversed(word.digits)))
+    except KeyError:
+        pos = next(p for p, d in enumerate(word.digits) if d not in digit_map)
+        raise error(pos, word.digits[pos], row, col) from None
+
+
+def _reflect_square(square: Square, digit_map: DigitMap,
+                    flip_rows: bool) -> Square:
+    # a half turn reverses rows and columns, a mirror only the columns
+    error = NonRotatableDigit if flip_rows else NonMirrorableDigit
     n = square.order
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            src = square.cells[i][n - 1 - j]
-            try:
-                row.append(mirror_codeword(src, digit_map))
-            except NonMirrorableDigit as exc:
-                raise NonMirrorableDigit(exc.position, exc.digit,
-                                         row=i, col=n - 1 - j) from None
-        rows.append(tuple(row))
-    return Square(tuple(rows), _mapped_alphabet(square.alphabet, digit_map))
+    cells = tuple(
+        tuple(_reflect_codeword(square.cells[i][j], digit_map, error, i, j)
+              for j in reversed(range(n)))
+        for i in (reversed(range(n)) if flip_rows else range(n)))
+    alphabet = square.alphabet
+    if alphabet is not None:
+        # the image square draws from the image alphabet ({0,1,2} mirrors to {0,1,5})
+        for d in alphabet:
+            if d not in digit_map:
+                raise error(None, d)
+        alphabet = Alphabet(tuple(sorted(digit_map[d] for d in alphabet)))
+    return Square(cells, alphabet)
 
 
-def _mapped_alphabet(alphabet: Alphabet | None,
-                     digit_map: DigitMap) -> Alphabet | None:
-    # the image square draws from the image alphabet ({0,1,2} mirrors to {0,1,5})
-    if alphabet is None:
-        return None
-    return Alphabet(tuple(sorted(digit_map[d] for d in alphabet)))
-
-
-def decompose(square: Square) -> LayerStack:
+def decompose(square: Square) -> tuple[Grid, ...]:
     """Split a square into its digit planes, most significant place first."""
     n, w = square.order, square.width
-    layers = tuple(
+    return tuple(
         tuple(tuple(square.cells[i][j].digits[p] for j in range(n))
               for i in range(n))
         for p in range(w))
-    return LayerStack(layers)
 
 
-def recompose(stack: LayerStack) -> Square:
-    """Stack digit planes back into a square of code words."""
-    n, w = stack.order, stack.width
+def recompose(planes: Sequence[Grid],
+              alphabet: Alphabet | None = None) -> Square:
+    """Stack digit planes, most significant place first, into a square.
+
+    Raises ShapeMismatch unless there are planes and all are n x n for one
+    n, and ValueError for an entry that is not a digit or not in ``alphabet``.
+    """
+    if not planes:
+        raise ShapeMismatch("need at least one plane")
+    n = len(planes[0])
+    for p, plane in enumerate(planes):
+        if len(plane) != n or any(len(row) != n for row in plane):
+            raise ShapeMismatch(f"plane {p} is not {n} x {n}")
     cells = tuple(
-        tuple(CodeWord(tuple(stack.layers[p][i][j] for p in range(w)))
+        tuple(CodeWord(tuple(plane[i][j] for plane in planes))
               for j in range(n))
         for i in range(n))
-    return Square(cells)
+    return Square(cells, alphabet)
 
 
 def palindromic_extend(square: Square) -> Square:

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import verify
-from .core import (Alphabet, CodeWord, LayerStack, ShapeMismatch, Square,
-                   palindromic_extend, recompose)
+from .core import Alphabet, CodeWord, Grid, ShapeMismatch, Square, recompose
 
 
 class Unsatisfiable(RuntimeError):
@@ -36,39 +35,9 @@ class BudgetExhausted(RuntimeError):
     """The time budget ran out before the first square was found."""
 
 
-class OracleTooLarge(ValueError):
-    """A brute-force enumeration was asked for more states than the cap allows."""
-
-
 class _DeadlineHit(Exception):
     # internal cancellation signal; never escapes this module
     pass
-
-
-_ORACLE_CAP = 10 ** 8
-
-
-@dataclass(frozen=True)
-class Layer:
-    """One digit plane: an order-n grid of single digits."""
-
-    grid: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.grid)
-        if n < 1:
-            raise ShapeMismatch("layer must have at least one row")
-        for i, row in enumerate(self.grid):
-            if len(row) != n:
-                raise ShapeMismatch(f"layer row {i} has {len(row)} entries, "
-                                    f"expected {n}")
-            for d in row:
-                if not isinstance(d, int) or not 0 <= d <= 9:
-                    raise ValueError(f"not a decimal digit: {d!r}")
-
-    @property
-    def order(self) -> int:
-        return len(self.grid)
 
 
 @dataclass(frozen=True)
@@ -146,12 +115,13 @@ def _deadline_from(budget_ms: int | None) -> float | None:
 def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                   pandiagonal: bool = False,
                   rng: random.Random | None = None,
-                  deadline: float | None = None) -> Iterator[Layer]:
-    """Backtracking enumeration of single-digit magic layers.
+                  deadline: float | None = None) -> Iterator[Grid]:
+    """Backtracking enumeration of single-digit magic layers, as grids.
 
     The last cell of each row and the whole last row are forced by the
     running sums, so only an (n-1) x (n-1) corner is branched on. With
-    ascending digit order the emission is lexicographic by row-major grid.
+    ascending digit order the emission is lexicographic by row-major grid;
+    an ``rng`` shuffles the branching order but not the set of grids.
     """
     n, s = order, line_sum
     digits = sorted(alphabet.digits)
@@ -210,7 +180,7 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
         rng.shuffle(picked)
         return picked
 
-    def fill(i: int, j: int) -> Iterator[Layer]:
+    def fill(i: int, j: int) -> Iterator[Grid]:
         if deadline is not None and time.monotonic() > deadline:
             raise _DeadlineHit
         if i == n - 1:
@@ -225,7 +195,7 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                     return
             if (all(dplus[k] == s for k in plus_tracked)
                     and all(dminus[k] == s for k in minus_tracked)):
-                yield Layer(tuple(tuple(r) for r in grid))
+                yield tuple(tuple(r) for r in grid)
             for jj, d in enumerate(forced):
                 unplace(n - 1, jj, d)
             return
@@ -249,30 +219,7 @@ def _fits(partial: int, remaining: int, target: int, lo: int, hi: int) -> bool:
     return partial + remaining * lo <= target <= partial + remaining * hi
 
 
-def gen_layers(order: int, alphabet: Alphabet, line_sum: int,
-               pandiagonal: bool = False,
-               rng: random.Random | None = None) -> Iterator[Layer]:
-    """All single-digit layers with every line summing to ``line_sum``.
-
-    The stream is empty when no layer exists (no exception). Without an
-    ``rng`` the order is deterministic and lexicographic; with one, the
-    branching order is shuffled but the set of layers is the same.
-    """
-    return _layer_stream(order, alphabet, line_sum,
-                         pandiagonal=pandiagonal, rng=rng)
-
-
-def stack_layers(layers: Sequence[Layer]) -> Square:
-    """Stack digit planes (most significant first) into a square."""
-    if not layers:
-        raise ShapeMismatch("need at least one layer")
-    orders = {layer.order for layer in layers}
-    if len(orders) != 1:
-        raise ShapeMismatch(f"layer orders differ: {sorted(orders)}")
-    return recompose(LayerStack(tuple(layer.grid for layer in layers)))
-
-
-def _prefix_distinct_ok(grids: list[tuple[tuple[int, ...], ...]], order: int,
+def _prefix_distinct_ok(grids: list[Grid], order: int,
                         places_left: int, alphabet_size: int) -> bool:
     # cells sharing a digit prefix must still be separable by the remaining
     # places: a group larger than alphabet_size**places_left is hopeless
@@ -343,7 +290,7 @@ def _square_stream(spec: SearchSpec) -> Iterator[Square]:
         search_width = spec.width
         sums = spec.line_sums
     asize = len(spec.alphabet)
-    grids: list[tuple[tuple[int, ...], ...]] = []
+    grids: list[Grid] = []
 
     def rng_for(place: int) -> random.Random | None:
         if spec.deterministic:
@@ -352,17 +299,16 @@ def _square_stream(spec: SearchSpec) -> Iterator[Square]:
 
     def rec(place: int) -> Iterator[Square]:
         if place == search_width:
-            base = recompose(LayerStack(tuple(grids)))
-            if spec.palindromic:
-                base = palindromic_extend(base)
-            square = Square(base.cells, spec.alphabet)
+            # the mirrored planes make every cell w + reverse(w)
+            square = recompose(grids + grids[::-1] if spec.palindromic
+                               else grids, spec.alphabet)
             _reverify(square, spec)
             yield square
             return
-        for layer in _layer_stream(n, spec.alphabet, sums[place],
-                                   pandiagonal=spec.pandiagonal,
-                                   rng=rng_for(place), deadline=deadline):
-            grids.append(layer.grid)
+        for grid in _layer_stream(n, spec.alphabet, sums[place],
+                                  pandiagonal=spec.pandiagonal,
+                                  rng=rng_for(place), deadline=deadline):
+            grids.append(grid)
             if (not spec.distinct
                     or _prefix_distinct_ok(grids, n, search_width - place - 1,
                                            asize)):
@@ -563,25 +509,3 @@ def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:
     alphabet = alphabets.pop() if len(alphabets) == 1 else None
     return Square(cells, alphabet)
 
-
-def brute_force_squares(order: int, alphabet: Alphabet,
-                        line_sum: int) -> list[Square]:
-    """Every width-1 magic square by exhaustive enumeration, sorted.
-
-    This is the independent oracle the layer search is tested against; it
-    shares no code path with the backtracking. The state count is capped so
-    nobody asks it for more than it can honestly enumerate.
-    """
-    states = len(alphabet) ** (order * order)
-    if states > _ORACLE_CAP:
-        raise OracleTooLarge(f"{states} grids exceeds the cap of {_ORACLE_CAP}")
-    found = []
-    for flat in itertools.product(sorted(alphabet.digits), repeat=order * order):
-        cells = tuple(
-            tuple(CodeWord((flat[i * order + j],)) for j in range(order))
-            for i in range(order))
-        square = Square(cells, alphabet)
-        if verify.check_magic(square) == line_sum:
-            found.append(square)
-    found.sort(key=lambda sq: sq.to_strings())
-    return found

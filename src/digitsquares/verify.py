@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import CodeWord, ROTATION_180, Square
+from .core import CodeWord, NonRotatableDigit, Square, rotate_codeword
 
 
 class InvalidState(ValueError):
@@ -74,21 +74,29 @@ def _broken_diagonals(square: Square) -> list[LineSum]:
     return out
 
 
+def _common_sums(lines: Sequence[LineSum]) -> tuple[int | None, int | None]:
+    # the sum and the sum of squares shared by all lines, None where they differ
+    totals = {ln.total for ln in lines}
+    square_totals = {ln.square_total for ln in lines}
+    return (totals.pop() if len(totals) == 1 else None,
+            square_totals.pop() if len(square_totals) == 1 else None)
+
+
+def _diagonals_match(broken: Sequence[LineSum], s1: int,
+                     s2: int | None = None) -> bool:
+    return all(ln.total == s1 and (s2 is None or ln.square_total == s2)
+               for ln in broken)
+
+
 def check_magic(square: Square) -> int | None:
     """The common line sum if all 2n+2 lines agree, else None."""
-    lines = line_sums(square)
-    totals = {ln.total for ln in lines}
-    return totals.pop() if len(totals) == 1 else None
+    return _common_sums(line_sums(square))[0]
 
 
 def check_bimagic(square: Square) -> tuple[int, int] | None:
     """(S1, S2) if all lines agree on both the sum and the sum of squares."""
-    lines = line_sums(square)
-    totals = {ln.total for ln in lines}
-    square_totals = {ln.square_total for ln in lines}
-    if len(totals) == 1 and len(square_totals) == 1:
-        return totals.pop(), square_totals.pop()
-    return None
+    s1, s2 = _common_sums(line_sums(square))
+    return None if s1 is None or s2 is None else (s1, s2)
 
 
 def check_pandiagonal(square: Square, bimagic: bool = False) -> bool:
@@ -99,17 +107,11 @@ def check_pandiagonal(square: Square, bimagic: bool = False) -> bool:
     squared sums of the broken diagonals must match S2 as well, and the
     square itself must be bimagic to begin with.
     """
-    if bimagic:
-        pair = check_bimagic(square)
-        if pair is None:
-            raise InvalidState("square is not bimagic")
-        s1, s2 = pair
-        return all(ln.total == s1 and ln.square_total == s2
-                   for ln in _broken_diagonals(square))
-    s1 = check_magic(square)
-    if s1 is None:
-        raise InvalidState("square is not magic")
-    return all(ln.total == s1 for ln in _broken_diagonals(square))
+    s1, s2 = _common_sums(line_sums(square))
+    if s1 is None or (bimagic and s2 is None):
+        raise InvalidState(f"square is not {'bimagic' if bimagic else 'magic'}")
+    return _diagonals_match(_broken_diagonals(square), s1,
+                            s2 if bimagic else None)
 
 
 def check_blocks(square: Square, k: int) -> int | None:
@@ -138,12 +140,10 @@ def entry_properties(square: Square) -> EntryProperties:
     entries = square.entries()
     palindromic = all(c.is_palindrome() for c in entries)
     distinct = len(set(entries)) == len(entries)
-    closed = all(d in ROTATION_180 for c in entries for d in c.digits)
-    if closed:
-        rotated = Counter(CodeWord(tuple(ROTATION_180[d]
-                                         for d in reversed(c.digits)))
-                          for c in entries)
-        closed = rotated == Counter(entries)
+    try:
+        closed = Counter(map(rotate_codeword, entries)) == Counter(entries)
+    except NonRotatableDigit:
+        closed = False
     return EntryProperties(palindromic, distinct, closed)
 
 
@@ -227,22 +227,21 @@ def report(square: Square) -> PropertyReport:
     """Run every check that applies and collect the results."""
     n = square.order
     lines = tuple(line_sums(square))
-    s1 = check_magic(square)
-    pair = check_bimagic(square)
-    s2 = pair[1] if pair else None
-    pandiagonal = s1 is not None and check_pandiagonal(square)
-    pan_bimagic = pair is not None and check_pandiagonal(square, bimagic=True)
+    s1, s2 = _common_sums(lines)
+    magic = s1 is not None
+    bimagic = magic and s2 is not None
+    broken = _broken_diagonals(square) if magic else []
     blocks = tuple((k, check_blocks(square, k))
                    for k in range(2, n + 1) if n % k == 0)
     return PropertyReport(
         order=n,
         width=square.width,
         s1=s1,
-        s2=s2,
-        magic=s1 is not None,
-        bimagic=pair is not None,
-        pandiagonal=pandiagonal,
-        pandiagonal_bimagic=pan_bimagic,
+        s2=s2 if bimagic else None,
+        magic=magic,
+        bimagic=bimagic,
+        pandiagonal=magic and _diagonals_match(broken, s1),
+        pandiagonal_bimagic=bimagic and _diagonals_match(broken, s1, s2),
         blocks=blocks,
         entries=entry_properties(square),
         lines=lines,

@@ -4,9 +4,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from digitsquares import render_square
-from digitsquares.cli import SquareDocument, main
+from digitsquares import Square, render_square
+from digitsquares.cli import DocumentError, SquareDocument, main, parse_document
 
 EXT_DOC = {
     "order": 3,
@@ -124,6 +126,64 @@ def test_verify_rejects_cells_outside_alphabet(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "alphabet" in err
+
+
+@pytest.mark.parametrize("doc, where", [
+    # both pass str.isdigit; int() rejects "²" and reads "٣" as 3
+    ({"order": 1, "width": 1, "rows": [["²"]]}, "cell (0, 0)"),
+    ({"order": 1, "width": 1, "rows": [["٣"]]}, "cell (0, 0)"),
+    ({"order": 1, "width": 1, "alphabet": "11", "rows": [["1"]]},
+     "alphabet has repeated digits"),
+    ({"order": 1, "width": 1, "alphabet": "1²", "rows": [["1"]]}, "alphabet"),
+], ids=["superscript cell", "arabic-indic cell", "repeated alphabet digit",
+        "superscript alphabet"])
+def test_verify_rejects_non_ascii_digits_and_repeats(capsys, tmp_path, doc,
+                                                     where):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert where in err
+
+
+def test_verify_rejects_non_ascii_csv_header(capsys, tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text("# ²,1\n1\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "line 1" in err
+
+
+@st.composite
+def digit_like_documents(draw):
+    # a quarter of the documents use ASCII digits only, so that many parse
+    chars = "0129" + draw(st.sampled_from(["", "²", "٣", "²٣"]))
+    order = draw(st.integers(0, 3))
+    width = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        cell = st.text(chars, min_size=width, max_size=width)
+        row = st.lists(cell, min_size=order, max_size=order)
+        rows = draw(st.lists(row, min_size=order, max_size=order))
+    else:
+        row = st.lists(st.text(chars, max_size=3), max_size=3)
+        rows = draw(st.lists(row, max_size=3))
+    doc = {"order": order, "width": width, "rows": rows}
+    if draw(st.booleans()):
+        doc["alphabet"] = draw(st.one_of(
+            st.text(chars, max_size=4),
+            st.permutations(chars).map("".join)))
+    return doc
+
+
+@settings(deadline=None)
+@given(digit_like_documents())
+def test_digit_like_documents_parse_or_raise_document_error(doc):
+    try:
+        square = parse_document(json.dumps(doc)).to_square()
+    except DocumentError:
+        return
+    assert isinstance(square, Square)
+    assert square.to_strings() == doc["rows"]
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -244,6 +304,21 @@ def test_transform_failure_exits_1(capsys, tmp_path):
     assert code == 1
     # the scan hits the source cell (2, 2) first when filling (0, 0)
     assert "cell (2, 2)" in err
+
+
+@pytest.mark.parametrize("mode, image", [
+    ("--rotate180", "a 180 degree rotation"),
+    ("--mirror", "mirroring"),
+])
+def test_transform_alphabet_digit_without_image_exits_1(capsys, tmp_path,
+                                                        mode, image):
+    # the cells all have images, but the declared alphabet's 3 does not
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dict(EXT_DOC, alphabet="0123")))
+    code, out, err = run(capsys, "transform", mode, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"cannot transform: alphabet digit 3 does not survive {image}\n"
 
 
 def test_transform_needs_exactly_one_mode(ext_path):

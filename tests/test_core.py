@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from digitsquares import (Alphabet, CodeWord, LayerStack, MIRROR,
-                          NonMirrorableDigit, NonRotatableDigit, ROTATION_180,
-                          ShapeMismatch, Square, check_magic, decompose,
-                          mirror_codeword, mirror_square, palindromic_extend,
-                          recompose, rotate_codeword, rotate_square)
+from digitsquares import (Alphabet, CodeWord, MIRROR, NonMirrorableDigit,
+                          NonRotatableDigit, ROTATION_180, ShapeMismatch,
+                          Square, check_magic, decompose, mirror_codeword,
+                          mirror_square, palindromic_extend, recompose,
+                          rotate_codeword, rotate_square)
+from digitsquares.core import UnmappableDigit
 
 
 def word(text):
@@ -27,6 +28,10 @@ def test_codeword_rejects_junk():
         CodeWord.from_string("")
     with pytest.raises(ValueError):
         CodeWord.from_string("12a")
+    # digits of other scripts pass str.isdigit but are not cells
+    for text in ("²", "1٣"):
+        with pytest.raises(ValueError):
+            CodeWord.from_string(text)
     with pytest.raises(ValueError):
         CodeWord((1, 12))
     with pytest.raises(ValueError):
@@ -70,6 +75,8 @@ def test_alphabet_validation():
         Alphabet((1, 1))
     with pytest.raises(ValueError):
         Alphabet.from_string("1a")
+    with pytest.raises(ValueError):
+        Alphabet.from_string("0²")
 
 
 @pytest.mark.parametrize("src, want", [
@@ -89,6 +96,8 @@ def test_rotate_codeword_reports_offending_digit():
         rotate_codeword(word("172"))
     assert err.value.position == 1
     assert err.value.digit == 7
+    assert isinstance(err.value, UnmappableDigit)
+    assert "180 degree rotation" in str(err.value)
 
 
 def test_rotate_codeword_is_involution():
@@ -114,6 +123,8 @@ def test_mirror_codeword_rejects_six():
         mirror_codeword(word("61"))
     assert err.value.position == 0
     assert err.value.digit == 6
+    assert isinstance(err.value, UnmappableDigit)
+    assert "mirroring" in str(err.value)
 
 
 def test_mirror_codeword_is_involution():
@@ -173,11 +184,21 @@ def test_mirror_square_reports_cell():
     assert (err.value.row, err.value.col) == (1, 1)
 
 
+@pytest.mark.parametrize("transform, error", [
+    (rotate_square, NonRotatableDigit),
+    (mirror_square, NonMirrorableDigit),
+])
+def test_transform_rejects_alphabet_digit_without_image(transform, error):
+    # every cell has an image, but the image alphabet would need one for 3
+    sq = Square.from_strings([["1", "2"], ["0", "1"]], Alphabet((0, 1, 2, 3)))
+    with pytest.raises(error) as err:
+        transform(sq)
+    assert (err.value.position, err.value.digit) == (None, 3)
+    assert "alphabet digit 3" in str(err.value)
+
+
 def test_decompose_single_cell():
-    stack = decompose(Square.from_strings([["12"]]))
-    assert stack.layers == (((1,),), ((2,),))
-    assert stack.order == 1
-    assert stack.width == 2
+    assert decompose(Square.from_strings([["12"]])) == (((1,),), ((2,),))
 
 
 def test_decompose_recompose_round_trip():
@@ -195,11 +216,15 @@ def test_decompose_recompose_round_trip():
 
 def test_layer_stack_rejects_bad_shapes():
     with pytest.raises(ShapeMismatch):
-        LayerStack(())
+        recompose(())
     with pytest.raises(ShapeMismatch):
-        LayerStack((((1,),), ((1, 2), (3, 4))))
+        recompose(((),))
+    with pytest.raises(ShapeMismatch):
+        recompose((((1,),), ((1, 2), (3, 4))))
+    with pytest.raises(ShapeMismatch):
+        recompose((((1, 2), (3,)),))
     with pytest.raises(ValueError):
-        LayerStack((((17,),),))
+        recompose((((17,),),))
 
 
 def test_palindromic_extend_cells(lo_shu):

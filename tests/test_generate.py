@@ -1,15 +1,18 @@
 """Layer search, the layered square search, bimagic construction, oracles."""
 
-import pytest
+import random
 
-from digitsquares import (Alphabet, BudgetExhausted, Layer, OracleTooLarge,
-                          SearchSpec, ShapeMismatch, Square, Unsatisfiable,
-                          bimagic_search, brute_force_squares, check_bimagic,
-                          check_blocks, check_magic, check_pandiagonal,
-                          compose_blocks, decompose, entry_properties,
-                          gen_layers, gen_square, palindromic_extend,
-                          recompose, stack_layers)
-from digitsquares.core import CodeWord, LayerStack
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from digitsquares import (Alphabet, BudgetExhausted, SearchSpec, ShapeMismatch,
+                          Square, Unsatisfiable, bimagic_search, check_bimagic,
+                          check_blocks, check_magic, compose_blocks, decompose,
+                          entry_properties, gen_square, palindromic_extend,
+                          recompose)
+from digitsquares.generate import _layer_stream
+from oracle import OracleTooLarge, brute_force_squares
 
 A012 = Alphabet((0, 1, 2))
 
@@ -26,7 +29,7 @@ def line_totals(rows):
 
 
 def test_gen_layers_matches_brute_force():
-    found = {layer.grid for layer in gen_layers(3, A012, 3)}
+    found = set(_layer_stream(3, A012, 3))
     oracle = {tuple(tuple(int(c) for c in row) for row in sq.to_strings())
               for sq in brute_force_squares(3, A012, 3)}
     assert found == oracle
@@ -34,24 +37,25 @@ def test_gen_layers_matches_brute_force():
 
 
 def test_gen_layers_is_lexicographic():
-    grids = [layer.grid for layer in gen_layers(3, A012, 3)]
+    grids = list(_layer_stream(3, A012, 3))
     assert grids == sorted(grids)
+    # a shuffled branching order yields the same set of planes
+    assert sorted(_layer_stream(3, A012, 3, rng=random.Random(5))) == grids
 
 
 def test_gen_layers_contains_known_layers():
-    grids = {layer.grid for layer in gen_layers(3, A012, 3)}
+    grids = set(_layer_stream(3, A012, 3))
     assert ((1, 1, 1), (1, 1, 1), (1, 1, 1)) in grids
     assert ((0, 2, 1), (2, 1, 0), (1, 0, 2)) in grids
 
 
 def test_gen_layers_empty_when_impossible():
-    assert list(gen_layers(3, A012, 7)) == []
-    assert list(gen_layers(3, A012, -1)) == []
+    assert list(_layer_stream(3, A012, 7)) == []
+    assert list(_layer_stream(3, A012, -1)) == []
 
 
 def test_gen_layers_pandiagonal():
-    layer = next(iter(gen_layers(5, A012, 5, pandiagonal=True)))
-    g = layer.grid
+    g = next(_layer_stream(5, A012, 5, pandiagonal=True))
     for k in range(5):
         assert sum(g[i][(i + k) % 5] for i in range(5)) == 5
         assert sum(g[i][(k - i) % 5] for i in range(5)) == 5
@@ -59,12 +63,30 @@ def test_gen_layers_pandiagonal():
 
 def test_stack_layers(lo_shu):
     planes = decompose(lo_shu)
-    layers = [Layer(grid) for grid in planes.layers]
-    assert stack_layers(layers).cells == lo_shu.cells
+    assert recompose(list(planes)).cells == lo_shu.cells
+    assert recompose(planes, lo_shu.alphabet) == lo_shu
     with pytest.raises(ShapeMismatch):
-        stack_layers([])
+        recompose([])
     with pytest.raises(ShapeMismatch):
-        stack_layers([layers[0], Layer(((1,),))])
+        recompose([planes[0], ((1,),)])
+    # a plane from another alphabet is caught when one is given
+    with pytest.raises(ValueError):
+        recompose([planes[0], ((3, 3, 3),) * 3], lo_shu.alphabet)
+
+
+GRIDS = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n)
+             .map(tuple), min_size=n, max_size=n).map(tuple),
+    min_size=1, max_size=3))
+
+
+@settings(deadline=None)
+@given(GRIDS)
+def test_mirrored_planes_equal_palindromic_extend(grids):
+    # the stream builds palindromic squares from mirrored planes; the public
+    # palindromic_extend is the reference
+    assert (recompose(grids + grids[::-1])
+            == palindromic_extend(recompose(grids)))
 
 
 def test_gen_square_basic():
@@ -208,8 +230,8 @@ def test_bimagic_recode_to_width_6():
     # cells become two three-digit palindromes glued together
     spec = SearchSpec(order=9, width=4, bimagic=True, deterministic=True)
     sq = next(iter(bimagic_search(spec)))
-    p = decompose(sq).layers
-    six = recompose(LayerStack((p[0], p[1], p[0], p[2], p[3], p[2])))
+    p = decompose(sq)
+    six = recompose((p[0], p[1], p[0], p[2], p[3], p[2]))
     assert check_bimagic(six) == (999999, 172916950695)
     assert check_blocks(six, 3) == 999999
     assert entry_properties(six).distinct

@@ -3,10 +3,11 @@
 import pytest
 
 from digitsquares import (Alphabet, BadBlockSize, CodeWord, InvalidState,
-                          NotDivisible, Square, audit_published_values,
-                          check_bimagic, check_blocks, check_magic,
-                          check_pandiagonal, entry_properties, line_sums,
-                          pythagoras_check, report, s2_from_multiset)
+                          NotDivisible, SearchSpec, Square,
+                          audit_published_values, check_bimagic, check_blocks,
+                          check_magic, check_pandiagonal, entry_properties,
+                          gen_square, line_sums, pythagoras_check, report,
+                          s2_from_multiset, verify)
 
 
 def uniform(order, text):
@@ -157,6 +158,53 @@ def test_report(lo_shu_extended):
     assert rep.blocks == ((3, 9999),)
     assert rep.entries.palindromic
     assert len(rep.lines) == 8
+
+
+def _bimagic_nine():
+    spec = SearchSpec(order=9, width=4, bimagic=True, deterministic=True)
+    return next(iter(gen_square(spec)))
+
+
+REPORTED = {
+    "lo_shu": lambda lo_shu: lo_shu,
+    "bimagic": lambda lo_shu: _bimagic_nine(),
+    "pandiagonal bimagic": lambda lo_shu: uniform(3, "1"),
+    "pandiagonal": lambda lo_shu: Square.from_strings(
+        [[str((2 * i + j) % 5) for j in range(5)] for i in range(5)]),
+    "not magic": lambda lo_shu: Square.from_strings([["1", "2"], ["2", "2"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTED))
+def test_report_agrees_with_individual_checks(name, lo_shu):
+    square = REPORTED[name](lo_shu)
+    rep = report(square)
+    s1 = check_magic(square)
+    pair = check_bimagic(square)
+    assert rep.s1 == s1
+    assert rep.s2 == (pair[1] if pair else None)
+    assert rep.magic == (s1 is not None)
+    assert rep.bimagic == (pair is not None)
+    assert rep.pandiagonal == (s1 is not None and check_pandiagonal(square))
+    assert rep.pandiagonal_bimagic == (
+        pair is not None and check_pandiagonal(square, bimagic=True))
+    assert rep.lines == tuple(line_sums(square))
+    assert rep.entries == entry_properties(square)
+
+
+def test_report_sums_each_line_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda sq: calls.append(name) or original(sq))
+
+    counted("line_sums")
+    counted("_broken_diagonals")
+    rep = report(uniform(3, "1"))
+    assert rep.pandiagonal and rep.pandiagonal_bimagic
+    assert sorted(calls) == ["_broken_diagonals", "line_sums"]
 
 
 def test_report_as_dict(lo_shu):
