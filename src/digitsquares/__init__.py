@@ -12,7 +12,7 @@ from .core import (Alphabet, CodeWord, DigitMap, MIRROR, NonMirrorableDigit,
                    palindromic_extend, recompose, rotate_codeword,
                    rotate_square)
 from .generate import (BudgetExhausted, SearchSpec, Unsatisfiable,
-                       bimagic_search, compose_blocks, gen_square)
+                       compose_blocks, gen_square)
 from .sevenseg import (MalformedBlock, SegmentGlyph, render_codeword,
                        render_square, rotate_text)
 from .verify import (BadBlockSize, ClaimAudit, EntryProperties, InvalidState,
@@ -29,8 +29,8 @@ __all__ = [
     "MalformedBlock", "NonMirrorableDigit", "NonRotatableDigit",
     "NotDivisible", "PropertyReport", "PythagorasResult", "ROTATION_180",
     "SearchSpec", "SegmentGlyph", "ShapeMismatch", "Square", "Unsatisfiable",
-    "audit_published_values", "bimagic_search", "check_bimagic",
-    "check_blocks", "check_magic", "check_pandiagonal", "compose_blocks",
+    "audit_published_values", "check_bimagic", "check_blocks",
+    "check_magic", "check_pandiagonal", "compose_blocks",
     "decompose", "entry_properties", "gen_square", "line_sums",
     "mirror_codeword", "mirror_square", "palindromic_extend",
     "pythagoras_check", "recompose", "render_codeword", "render_square",

@@ -229,11 +229,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_PROPERTY
 
 
+def _integer(text: str) -> int:
+    """An integer written in ASCII digits, with an optional leading minus.
+
+    ``int`` alone also reads other scripts' digits, such as "٣" as 3.
+    """
+    if not is_digit_string(text[1:] if text.startswith("-") else text):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_line_sums(raw: str, width: int) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",")]
     try:
-        values = tuple(int(p) for p in parts)
-    except ValueError:
+        values = tuple(_integer(p) for p in parts)
+    except argparse.ArgumentTypeError:
         raise DocumentError(f"--line-sum must be integers, got {raw!r}") from None
     if len(values) == 1:
         return values * width
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pandiagonal", action="store_true")
     p.add_argument("--pandiagonal-bimagic", action="store_true",
                    dest="pandiagonal_bimagic")
-    p.add_argument("--blocks", type=int, metavar="K",
+    p.add_argument("--blocks", type=_integer, metavar="K",
                    help="require all aligned KxK blocks to share one sum")
     p.add_argument("--distinct", action="store_true")
     p.add_argument("--palindromic", action="store_true")
@@ -359,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="search for squares")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--width", type=int, default=1)
+    p.add_argument("--order", type=_integer, default=3)
+    p.add_argument("--width", type=_integer, default=1)
     p.add_argument("--alphabet", default="012")
     p.add_argument("--line-sum", dest="line_sum",
                    help="target per digit place: one value or width "
@@ -370,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palindromic", action="store_true")
     p.add_argument("--bimagic", action="store_true",
                    help="order 9, width 4 bimagic construction")
-    p.add_argument("--limit", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-ms", dest="budget_ms", type=int)
+    p.add_argument("--limit", type=_integer, default=1)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--budget-ms", dest="budget_ms", type=_integer)
     p.add_argument("--deterministic", action="store_true",
                    help="lexicographic order instead of seeded shuffling")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -11,8 +11,8 @@ layer stream per place. The resulting line sum is exact:
 
 so a 9x9 square over {0, 1, 2} with every layer summing to 9 has S1 = 9999.
 
-Bimagic squares come from a separate algebraic construction over GF(3) and
-are re-verified, not assumed, before they are handed out.
+Bimagic squares come from an affine construction over GF(3) whose digit
+planes go through the same recompose and re-verify loop as the layer search.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import verify
 from .core import Alphabet, CodeWord, Grid, ShapeMismatch, Square, recompose
@@ -106,10 +106,6 @@ class SearchSpec:
         """The line sum every emitted square will have."""
         return sum(s * 10 ** (self.width - 1 - p)
                    for p, s in enumerate(self.line_sums))
-
-
-def _deadline_from(budget_ms: int | None) -> float | None:
-    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 
 
 def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
@@ -237,14 +233,23 @@ def _prefix_distinct_ok(grids: list[Grid], order: int,
 
 def _reverify(square: Square, spec: SearchSpec) -> None:
     # emitted squares are re-verified, not assumed correct by construction
-    if verify.check_magic(square) != spec.s1:
+    if spec.bimagic:
+        if verify.check_bimagic(square) != (spec.s1, _BIMAGIC_S2):
+            raise AssertionError(f"generated square is not bimagic with "
+                                 f"S1={spec.s1}, S2={_BIMAGIC_S2}")
+        if verify.check_blocks(square, 3) != spec.s1:
+            raise AssertionError(f"generated square has 3x3 blocks not "
+                                 f"summing to {spec.s1}")
+    elif verify.check_magic(square) != spec.s1:
         raise AssertionError(f"generated square is not magic with S1={spec.s1}")
-    props = verify.entry_properties(square)
     if spec.pandiagonal and not verify.check_pandiagonal(square):
         raise AssertionError("generated square is not pandiagonal")
-    if spec.distinct and not props.distinct:
-        raise AssertionError("generated square has repeated cells")
-    if spec.palindromic and not props.palindromic:
+    if spec.distinct or spec.bimagic:
+        entries = square.entries()
+        if len(set(entries)) != len(entries):
+            raise AssertionError("generated square has repeated cells")
+    if spec.palindromic and not all(c.is_palindrome()
+                                    for row in square.cells for c in row):
         raise AssertionError("generated square has non-palindromic cells")
 
 
@@ -277,12 +282,41 @@ def gen_square(spec: SearchSpec) -> Iterator[Square]:
         if pool < n * n:
             raise Unsatisfiable(
                 f"only {pool} distinct cells are available but {n * n} are needed")
-    return _square_stream(spec)
+    return _square_stream(spec, _layer_planes, spec.alphabet)
 
 
-def _square_stream(spec: SearchSpec) -> Iterator[Square]:
+def _square_stream(spec: SearchSpec,
+                   plane_source: Callable[[SearchSpec, float | None],
+                                          Iterator[tuple[Grid, ...]]],
+                   alphabet: Alphabet) -> Iterator[Square]:
+    # the one emit loop: each plane tuple from plane_source(spec, deadline)
+    # is recomposed, re-verified and counted against the limit
+    what = "bimagic square" if spec.bimagic else "square"
+    deadline = (None if spec.budget_ms is None
+                else time.monotonic() + spec.budget_ms / 1000.0)
+    emitted = 0
+    try:
+        for planes in plane_source(spec, deadline):
+            square = recompose(planes, alphabet)
+            _reverify(square, spec)
+            yield square
+            emitted += 1
+            if emitted >= spec.limit:
+                return
+    except _DeadlineHit:
+        if emitted == 0:
+            raise BudgetExhausted(
+                f"no {what} found within {spec.budget_ms} ms") from None
+        return
+    if emitted == 0:
+        raise Unsatisfiable("bimagic family exhausted" if spec.bimagic else
+                            "search space exhausted without finding a square")
+
+
+def _layer_planes(spec: SearchSpec, deadline: float | None
+                  ) -> Iterator[tuple[Grid, ...]]:
+    # the lazy product of one layer stream per searched digit place
     n = spec.order
-    deadline = _deadline_from(spec.budget_ms)
     if spec.palindromic:
         search_width = spec.width // 2
         sums = spec.line_sums[:search_width]
@@ -297,13 +331,10 @@ def _square_stream(spec: SearchSpec) -> Iterator[Square]:
             return None
         return random.Random(spec.seed * 65537 + place)
 
-    def rec(place: int) -> Iterator[Square]:
+    def rec(place: int) -> Iterator[tuple[Grid, ...]]:
         if place == search_width:
             # the mirrored planes make every cell w + reverse(w)
-            square = recompose(grids + grids[::-1] if spec.palindromic
-                               else grids, spec.alphabet)
-            _reverify(square, spec)
-            yield square
+            yield (*grids, *grids[::-1]) if spec.palindromic else tuple(grids)
             return
         for grid in _layer_stream(n, spec.alphabet, sums[place],
                                   pandiagonal=spec.pandiagonal,
@@ -315,171 +346,115 @@ def _square_stream(spec: SearchSpec) -> Iterator[Square]:
                 yield from rec(place + 1)
             grids.pop()
 
-    emitted = 0
-    try:
-        for square in rec(0):
-            yield square
-            emitted += 1
-            if emitted >= spec.limit:
-                return
-    except _DeadlineHit:
-        if emitted == 0:
-            raise BudgetExhausted(
-                f"no square found within {spec.budget_ms} ms") from None
-        return
-    if emitted == 0:
-        raise Unsatisfiable("search space exhausted without finding a square")
-
-
-def _det2(p: tuple[int, int], q: tuple[int, int]) -> int:
-    return (p[0] * q[1] - p[1] * q[0]) % 3
-
-
-def _rows_compatible(r: tuple[int, ...], s: tuple[int, ...]) -> bool:
-    # every line of the 9x9 square (rows, columns, both main diagonals)
-    # must see each pair of digit values of these two planes equally often;
-    # over GF(3) that is four 2x2 determinants being nonzero
-    ur, vr = (r[0], r[1]), (r[2], r[3])
-    us, vs = (s[0], s[1]), (s[2], s[3])
-    if _det2(ur, us) == 0 or _det2(vr, vs) == 0:
-        return False
-    plus_r = ((ur[0] + vr[0]) % 3, (ur[1] + vr[1]) % 3)
-    plus_s = ((us[0] + vs[0]) % 3, (us[1] + vs[1]) % 3)
-    if _det2(plus_r, plus_s) == 0:
-        return False
-    minus_r = ((ur[0] - vr[0]) % 3, (ur[1] - vr[1]) % 3)
-    minus_s = ((us[0] - vs[0]) % 3, (us[1] - vs[1]) % 3)
-    return _det2(minus_r, minus_s) != 0
-
-
-def _det4(m: tuple[tuple[int, ...], ...]) -> int:
-    total = 0
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        seen = list(perm)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if seen[a] > seen[b]:
-                    sign = -sign
-        term = sign
-        for row, col in enumerate(perm):
-            term *= m[row][col]
-        total += term
-    return total % 3
-
-
-def _coefficient_rows() -> list[tuple[int, int, int, int]]:
-    # rows whose i0 and j0 coefficients are not both zero; that is what makes
-    # every aligned 3x3 block contain each digit value three times
-    rows = []
-    for r in itertools.product(range(3), repeat=4):
-        if (r[1], r[3]) != (0, 0):
-            rows.append(r)
-    return rows
-
-
-def _matrix_valid(rows: tuple[tuple[int, int, int, int], ...]) -> bool:
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if not _rows_compatible(rows[a], rows[b]):
-                return False
-    return _det4(rows) != 0
-
-
-def _square_from_matrix(matrix: tuple[tuple[int, int, int, int], ...],
-                        offsets: tuple[int, int, int, int]) -> Square:
-    cells = []
-    for i in range(9):
-        i1, i0 = divmod(i, 3)
-        row = []
-        for j in range(9):
-            j1, j0 = divmod(j, 3)
-            x = (i1, i0, j1, j0)
-            digs = tuple(
-                (sum(c * v for c, v in zip(mrow, x)) + off) % 3
-                for mrow, off in zip(matrix, offsets))
-            row.append(CodeWord(digs))
-        cells.append(tuple(row))
-    return Square(tuple(cells), Alphabet((0, 1, 2)))
+    return rec(0)
 
 
 def bimagic_search(spec: SearchSpec) -> Iterator[Square]:
     """Order-9, width-4 bimagic squares over {0, 1, 2}.
 
-    Each cell's four digits are linear functions over GF(3) of the base-3
-    coordinates of its row and column. Choosing the coefficient matrix so
-    that every pair of digit planes covers all nine value pairs uniformly on
-    every line makes all 20 line sums 9999 and all squared sums equal; the
-    block condition on the low coordinates gives every aligned 3x3 block the
-    sum 9999 as well, and invertibility makes all 81 cells distinct. Every
-    candidate is still re-verified before it is emitted.
+    A cell's four digits are affine functions (r . (i1, i0, j1, j0) + offset)
+    mod 3 of the base-3 digits of its row i and column j, one coefficient
+    row r per place. Along a row, a column or a main diagonal these
+    coordinates sweep a plane of directions (j1, j0), (i1, i0),
+    (i1, i0, i1, i0) or (i1, i0, -i1, -i0), on which r acts as a vector of
+    GF(3)^2. When in each direction the four rows' vectors lie on the four
+    different lines through the origin, every pair of digit planes covers
+    all nine value pairs on every line, so all 20 line sums are 9999 and all
+    squared sums are equal. A nonzero i0 or j0 coefficient gives every
+    aligned 3x3 block the sum 9999, and full rank makes all 81 cells
+    distinct. Every square is still re-verified before it is emitted.
     """
     if (spec.order, spec.width) != (9, 4):
         raise ValueError("bimagic search supports only order 9, width 4")
-    expected_s2 = verify.s2_from_multiset(
-        [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)], 9)
-    deadline = _deadline_from(spec.budget_ms)
-    emitted = 0
-    seen: set[tuple] = set()
-    try:
-        for matrix, offsets in _bimagic_candidates(spec, deadline):
-            square = _square_from_matrix(matrix, offsets)
-            key = square.cells
-            if key in seen:
-                continue
-            seen.add(key)
-            if verify.check_bimagic(square) != (9999, expected_s2):
-                continue
-            if verify.check_blocks(square, 3) != 9999:
-                continue
-            if not verify.entry_properties(square).distinct:
-                continue
-            yield square
-            emitted += 1
-            if emitted >= spec.limit:
-                return
-    except _DeadlineHit:
-        if emitted == 0:
-            raise BudgetExhausted(
-                f"no bimagic square found within {spec.budget_ms} ms") from None
-        return
-    if emitted == 0:
-        raise Unsatisfiable("bimagic family exhausted")
+    return _square_stream(spec, _bimagic_planes, Alphabet((0, 1, 2)))
 
 
-def _bimagic_candidates(spec: SearchSpec, deadline: float | None
-                        ) -> Iterator[tuple[tuple, tuple]]:
-    rows = _coefficient_rows()
+def _bimagic_planes(spec: SearchSpec, deadline: float | None
+                    ) -> Iterator[tuple[Grid, ...]]:
     if spec.deterministic:
         # lexicographic over coefficient matrices, zero offsets
-        for r0 in rows:
+        for matrix in _family_matrices():
             if deadline is not None and time.monotonic() > deadline:
                 raise _DeadlineHit
-            for r1 in rows:
-                if not _rows_compatible(r0, r1):
-                    continue
-                for r2 in rows:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise _DeadlineHit
-                    if not (_rows_compatible(r0, r2)
-                            and _rows_compatible(r1, r2)):
-                        continue
-                    for r3 in rows:
-                        m = (r0, r1, r2, r3)
-                        if (_rows_compatible(r0, r3)
-                                and _rows_compatible(r1, r3)
-                                and _rows_compatible(r2, r3)
-                                and _det4(m) != 0):
-                            yield m, (0, 0, 0, 0)
+            yield _affine_planes(matrix, (0, 0, 0, 0))
         return
     rng = random.Random(spec.seed)
-    while True:
+    choice, mask = rng.choice, _MASKS.get
+    seen: set[tuple] = set()
+    while len(seen) < _BIMAGIC_FAMILY_SIZE:
         if deadline is not None and time.monotonic() > deadline:
             raise _DeadlineHit
-        m = tuple(rng.choice(rows) for _ in range(4))
-        if _matrix_valid(m):
+        # about one draw in 11664 is in the family, so this test is hot
+        r0, r1, r2, r3 = matrix = (choice(_ROWS), choice(_ROWS),
+                                   choice(_ROWS), choice(_ROWS))
+        if (mask(r0, 0) | mask(r1, 0) | mask(r2, 0) | mask(r3, 0) == 0xFFFF
+                and _full_rank(matrix)):
             offsets = tuple(rng.randrange(3) for _ in range(4))
-            yield m, offsets
+            if (matrix, offsets) not in seen:
+                seen.add((matrix, offsets))
+                yield _affine_planes(matrix, offsets)
+
+
+def _line_mask(row: tuple[int, int, int, int]) -> int:
+    # one bit per (direction, line through the origin) that the row's vector
+    # lies on; 0 if the row is constant along some direction
+    a, b, c, d = row
+    mask = 0
+    for k, (u, v) in enumerate(((c, d), (a, b), (a + c, b + d),
+                                (a - c, b - d))):
+        u, v = u % 3, v % 3
+        if (u, v) == (0, 0):
+            return 0
+        # the lines are spanned by (1, 0), (0, 1), (1, 1) and (1, 2)
+        mask |= 1 << (4 * k + (1 if u == 0 else (0, 2, 3)[v * u % 3]))
+    return mask
+
+
+# rows with i0 or j0 in play; the seeded sampler draws from all 72 of them
+_ROWS = [r for r in itertools.product(range(3), repeat=4) if r[1] or r[3]]
+# the 48 of them that vary along all four directions
+_MASKS = {r: m for r in _ROWS if (m := _line_mask(r))}
+_BIMAGIC_FAMILY_SIZE = 2304 * 81    # matrices times offsets
+# every family square holds each of the 81 four-digit words once
+_BIMAGIC_S2 = verify.s2_from_multiset(
+    [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)], 9)
+
+
+def _family_matrices(prefix: tuple = (), used: int = 0
+                     ) -> Iterator[tuple[tuple[int, int, int, int], ...]]:
+    # the family's coefficient matrices in lexicographic order
+    if len(prefix) == 4:
+        if _full_rank(prefix):
+            yield prefix
+        return
+    for row, mask in _MASKS.items():
+        if not used & mask:
+            yield from _family_matrices(prefix + (row,), used | mask)
+
+
+def _full_rank(matrix: tuple[tuple[int, ...], ...]) -> bool:
+    # elimination over GF(3), where each nonzero pivot is its own inverse
+    rows = [list(r) for r in matrix]
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if rows[r][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for r in range(col + 1, 4):
+            f = rows[r][col] * top[col] % 3
+            if f:
+                rows[r] = [(x - f * y) % 3 for x, y in zip(rows[r], top)]
+    return True
+
+
+def _affine_planes(matrix: tuple[tuple[int, int, int, int], ...],
+                   offsets: tuple[int, ...]) -> tuple[Grid, ...]:
+    return tuple(
+        tuple(tuple((a * (i // 3) + b * (i % 3) + c * (j // 3) + d * (j % 3)
+                     + off) % 3 for j in range(9))
+              for i in range(9))
+        for (a, b, c, d), off in zip(matrix, offsets))
 
 
 def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:

@@ -13,14 +13,14 @@ from contextlib import contextmanager
 
 from digitsquares import (Alphabet, CodeWord, MIRROR, ROTATION_180,
                           SearchSpec, Square, audit_published_values,
-                          bimagic_search, check_bimagic, check_blocks,
-                          check_magic, check_pandiagonal, compose_blocks,
-                          decompose, entry_properties, gen_square,
-                          mirror_codeword, pythagoras_check, recompose,
-                          render_codeword, rotate_codeword, rotate_square,
-                          rotate_text, s2_from_multiset)
+                          check_bimagic, check_blocks, check_magic,
+                          check_pandiagonal, compose_blocks, decompose,
+                          entry_properties, gen_square, mirror_codeword,
+                          pythagoras_check, recompose, render_codeword,
+                          rotate_codeword, rotate_square, rotate_text,
+                          s2_from_multiset)
 from digitsquares.cli import SquareDocument, main
-from digitsquares.generate import _layer_stream
+from digitsquares.generate import _layer_stream, bimagic_search
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 """End-to-end behaviour of the command line, through main()."""
 
+import hashlib
 import io
 import json
 
@@ -260,6 +261,51 @@ def test_generate_bimagic(capsys, tmp_path):
                        "--distinct", str(out_path))
     assert code == 0
     assert "s2: 17169495" in out
+
+
+@pytest.mark.parametrize("seed,digest", [
+    ("1", "82dbdbe5c4661315a0a243f49ac4587a0a5c66a4bd7ca3e8d77990c6cc7ce253"),
+    ("2", "68609845a11b4d565adb881151fe118eeae19908d5c9683272ce94f20cf09e76"),
+])
+def test_generate_seeded_bimagic_stream_is_pinned(capsys, seed, digest):
+    # the digests the benchmark baseline pins for these two calls
+    code, out, _ = run(capsys, "generate", "--order", "9", "--width", "4",
+                       "--bimagic", "--limit", "15", "--seed", seed,
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flag", ["--order", "--width", "--limit", "--seed",
+                                  "--budget-ms"])
+@pytest.mark.parametrize("value", ["\u0663", "+3"])
+def test_generate_integer_flags_take_ascii_digits_only(capsys, flag, value):
+    argv = {"--order": "3", "--width": "1", "--line-sum": "3", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["generate"] + [x for item in argv.items() for x in item])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer in ASCII digits" in (
+        capsys.readouterr().err)
+
+
+def test_generate_line_sum_takes_ascii_digits_only(capsys):
+    for raw in ("\u0663", "3,\u0663,3"):
+        code, _, err = run(capsys, "generate", "--order", "3", "--width", "3",
+                           "--line-sum", raw)
+        assert code == 2
+        assert f"--line-sum must be integers, got {raw!r}" in err
+    # a minus sign is still read, so a negative seed still works
+    code, out, _ = run(capsys, "generate", "--order", "3", "--width", "1",
+                       "--line-sum", "3", "--seed", "-1", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 1
+
+
+def test_verify_blocks_takes_ascii_digits_only(capsys, ext_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--blocks", "\u0663", ext_path])
+    assert exc.value.code == 2
+    assert "argument --blocks: expected an integer" in capsys.readouterr().err
 
 
 def test_generate_deterministic_is_byte_identical(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Layer search, the layered square search, bimagic construction, oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsquares import (Alphabet, BudgetExhausted, SearchSpec, ShapeMismatch,
-                          Square, Unsatisfiable, bimagic_search, check_bimagic,
-                          check_blocks, check_magic, compose_blocks, decompose,
+                          Square, Unsatisfiable, check_bimagic, check_blocks,
+                          check_magic, compose_blocks, decompose,
                           entry_properties, gen_square, palindromic_extend,
                           recompose)
-from digitsquares.generate import _layer_stream
+from digitsquares import generate
+from digitsquares.generate import _layer_stream, bimagic_search
 from oracle import OracleTooLarge, brute_force_squares
 
 A012 = Alphabet((0, 1, 2))
@@ -235,6 +237,60 @@ def test_bimagic_recode_to_width_6():
     assert check_bimagic(six) == (999999, 172916950695)
     assert check_blocks(six, 3) == 999999
     assert entry_properties(six).distinct
+
+
+def test_bimagic_family_is_pinned():
+    # the ordered matrices of the deterministic stream; the digest was taken
+    # from the determinant-based enumeration that the line masks replaced
+    matrices = list(generate._family_matrices())
+    assert len(matrices) == 2304
+    assert hashlib.sha256(repr(matrices).encode()).hexdigest() == (
+        "b02cd08c2325ca247263c8c88cf3b3ee9be8f92d39dcce27fd7482049d2f5210")
+
+
+def test_bimagic_family_squares_verify_with_any_offsets():
+    rng = random.Random(11)
+    for matrix in rng.sample(list(generate._family_matrices()), 30):
+        offsets = tuple(rng.randrange(3) for _ in range(4))
+        sq = recompose(generate._affine_planes(matrix, offsets), A012)
+        assert check_bimagic(sq) == (9999, 17169495)
+        assert check_blocks(sq, 3) == 9999
+        assert len(set(sq.entries())) == 81
+
+
+def test_bimagic_seeded_stream_has_no_repeats():
+    spec = SearchSpec(order=9, width=4, bimagic=True, limit=40, seed=7)
+    squares = list(gen_square(spec))
+    assert len(squares) == 40
+    assert len({sq.cells for sq in squares}) == 40
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_bimagic_budget_zero(deterministic):
+    spec = SearchSpec(order=9, width=4, bimagic=True, budget_ms=0,
+                      deterministic=deterministic)
+    with pytest.raises(BudgetExhausted, match="no bimagic square"):
+        list(gen_square(spec))
+
+
+def test_bimagic_seeded_stream_ends_with_the_family(monkeypatch):
+    monkeypatch.setattr(generate, "_BIMAGIC_FAMILY_SIZE", 5)
+    spec = SearchSpec(order=9, width=4, bimagic=True, limit=10, seed=1)
+    squares = list(gen_square(spec))
+    assert len(squares) == 5
+    assert len({sq.cells for sq in squares}) == 5
+
+
+def test_bimagic_reverify_rejects_a_broken_square():
+    spec = SearchSpec(order=9, width=4, bimagic=True, deterministic=True)
+    planes = list(generate._affine_planes(next(generate._family_matrices()),
+                                          (0, 0, 0, 0)))
+    # swapping two cells of one row keeps every row sum but breaks columns
+    row = list(planes[3][0])
+    row[0], row[1] = row[1], row[0]
+    planes[3] = (tuple(row),) + planes[3][1:]
+    with pytest.raises(AssertionError, match="not bimagic"):
+        generate._reverify(recompose(planes, A012), spec)
 
 
 def test_compose_blocks(lo_shu):
