@@ -17,12 +17,14 @@ of budget with nothing found.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 from . import generate, sevenseg, verify
 from .core import (Alphabet, ShapeMismatch, Square, UnmappableDigit, decompose,
@@ -61,10 +63,12 @@ class SquareDocument:
             if key not in obj:
                 raise DocumentError(f"missing key {key!r}")
         order, width, rows = obj["order"], obj["width"], obj["rows"]
-        if not isinstance(order, int) or order < 1:
-            raise DocumentError(f"order must be a positive integer, got {order!r}")
-        if not isinstance(width, int) or width < 1:
-            raise DocumentError(f"width must be a positive integer, got {width!r}")
+        for key, value in (("order", order), ("width", width)):
+            # bool is an int subclass, so true would read as 1
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
+                raise DocumentError(
+                    f"{key} must be a positive integer, got {value!r}")
         alphabet = obj.get("alphabet")
         if alphabet is not None:
             try:
@@ -114,6 +118,11 @@ def parse_document(text: str, source: str = "<input>") -> SquareDocument:
             raise DocumentError(
                 f"{source}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise DocumentError(f"{source}: JSON nested too deeply") from None
+        except ValueError as exc:
+            # an integer literal longer than int() converts
+            raise DocumentError(f"{source}: invalid JSON: {exc}") from None
         try:
             return SquareDocument.from_json_dict(obj)
         except DocumentError as exc:
@@ -129,15 +138,24 @@ def parse_document(text: str, source: str = "<input>") -> SquareDocument:
 
 
 def _parse_csv(text: str) -> SquareDocument:
-    lines = text.splitlines()
-    header = lines[0].lstrip("#").strip()
-    parts = [p.strip() for p in header.split(",")]
-    if len(parts) != 2 or not all(is_digit_string(p) for p in parts):
+    # the header is the first non-blank line, as for choosing the format
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    number, first = lines[0]
+    parts = [p.strip() for p in first.strip().lstrip("#").split(",")]
+    try:
+        if len(parts) != 2 or not all(is_digit_string(p) for p in parts):
+            raise ValueError
+        # int() also refuses a number of more than 4300 digits
+        order, width = int(parts[0]), int(parts[1])
+    except ValueError:
         raise DocumentError(
-            f"line 1: header must be '# order,width', got {lines[0]!r}")
-    order, width = int(parts[0]), int(parts[1])
-    body = [ln for ln in lines[1:] if ln.strip()]
-    rows = list(csv.reader(io.StringIO("\n".join(body))))
+            f"line {number}: header must be '# order,width', "
+            f"got {first!r}") from None
+    body = [ln for _, ln in lines[1:]]
+    try:
+        rows = list(csv.reader(io.StringIO("\n".join(body))))
+    except csv.Error as exc:
+        raise DocumentError(f"bad CSV: {exc}") from None
     if len(rows) != order:
         raise DocumentError(f"expected {order} data rows, got {len(rows)}")
     cleaned = [[cell.strip() for cell in row] for row in rows]
@@ -146,18 +164,33 @@ def _parse_csv(text: str) -> SquareDocument:
 
 
 def load_document(path: str) -> SquareDocument:
+    """Read a document from a path, or from stdin for "-", and parse it."""
     if path == "-":
-        return parse_document(sys.stdin.read(), "<stdin>")
-    with open(path, encoding="utf-8") as fh:
-        return parse_document(fh.read(), path)
+        source = "<stdin>"
+        # a text stream put in place of stdin has no byte buffer
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        source = path
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError(
+                f"{source}: not UTF-8 text, byte {exc.start}: "
+                f"{exc.reason}") from None
+    return parse_document(data, source)
 
 
-def _write_output(text: str, path: str) -> None:
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """Stdout for "-", otherwise the file at path, opened for writing."""
     if path == "-":
-        print(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            yield fh
 
 
 def _styled(text: str, code: str) -> str:
@@ -280,8 +313,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # both errors come before the first square, so nothing is written yet
     try:
-        squares = list(generate.gen_square(spec))
+        squares = generate.gen_square(spec)
+        first = next(squares)
     except generate.Unsatisfiable as exc:
         print(f"no squares: {exc}", file=sys.stderr)
         return EXIT_SEARCH
@@ -289,12 +324,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(f"out of budget: {exc}", file=sys.stderr)
         return EXIT_SEARCH
 
-    docs = [SquareDocument.from_square(sq).to_json_dict() for sq in squares]
-    if args.format == "json":
-        _write_output(json.dumps(docs, indent=2), args.out)
-    else:
-        chunks = [json.dumps(d, indent=2) for d in docs]
-        _write_output("\n---\n".join(chunks), args.out)
+    def dump(square: Square) -> str:
+        doc = json.dumps(SquareDocument.from_square(square).to_json_dict(),
+                         indent=2)
+        # in the array every line sits two spaces deeper, as json.dumps of
+        # the whole list would put it
+        return ("  " + doc.replace("\n", "\n  ") if args.format == "json"
+                else doc)
+
+    head, sep, tail = (("[\n", ",\n", "\n]\n") if args.format == "json"
+                       else ("", "\n---\n", "\n"))
+    with _output(args.out) as out:
+        out.write(head + dump(first))
+        for square in squares:
+            out.write(sep + dump(square))
+        out.write(tail)
     return EXIT_OK
 
 
@@ -309,7 +353,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
         print(f"cannot transform: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     doc = SquareDocument.from_square(result).to_json_dict()
-    _write_output(json.dumps(doc, indent=2), args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -318,7 +363,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     art = sevenseg.render_square(square)
     if args.compact:
         art = "\n".join(line for line in art.split("\n") if line.strip())
-    _write_output(art, args.out)
+    with _output(args.out) as out:
+        out.write(art + "\n")
     return EXIT_OK
 
 

@@ -124,95 +124,55 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
     lo, hi = digits[0], digits[-1]
     if s < n * lo or s > n * hi:
         return
-    grid = [[lo] * n for _ in range(n)]
-    row_sum = [0] * n
-    col_sum = [0] * n
-    # wrap-around diagonal classes: plus is (j - i) mod n, minus is (i + j) mod n
-    dplus = [0] * n
-    dminus = [0] * n
-    dplus_cnt = [0] * n
-    dminus_cnt = [0] * n
-    if pandiagonal:
-        plus_tracked = minus_tracked = set(range(n))
-    else:
-        plus_tracked = {0}          # the main diagonal
-        minus_tracked = {n - 1}     # the anti diagonal
-
-    def place(i: int, j: int, d: int) -> bool:
-        # returns False (after undoing nothing) when a bound is already violated
-        grid[i][j] = d
-        row_sum[i] += d
-        col_sum[j] += d
-        kp, km = (j - i) % n, (i + j) % n
-        dplus[kp] += d
-        dplus_cnt[kp] += 1
-        dminus[km] += d
-        dminus_cnt[km] += 1
-        ok = (_fits(row_sum[i], n - 1 - j, s, lo, hi)
-              and _fits(col_sum[j], n - 1 - i, s, lo, hi))
-        if ok and kp in plus_tracked:
-            ok = _fits(dplus[kp], n - dplus_cnt[kp], s, lo, hi)
-        if ok and km in minus_tracked:
-            ok = _fits(dminus[km], n - dminus_cnt[km], s, lo, hi)
-        if not ok:
-            unplace(i, j, d)
-        return ok
-
-    def unplace(i: int, j: int, d: int) -> None:
-        row_sum[i] -= d
-        col_sum[j] -= d
-        kp, km = (j - i) % n, (i + j) % n
-        dplus[kp] -= d
-        dplus_cnt[kp] -= 1
-        dminus[km] -= d
-        dminus_cnt[km] -= 1
-
     members = set(digits)
+    grid = [[lo] * n for _ in range(n)]
+    rows, cols = [0] * n, [0] * n
+    # wrap-around diagonal classes: plus is (j - i) mod n, minus is (i + j) mod n
+    plus, minus = [0] * n, [0] * n
 
-    def choices() -> list[int]:
-        if rng is None:
-            return digits
-        picked = digits[:]
-        rng.shuffle(picked)
-        return picked
-
-    def fill(i: int, j: int) -> Iterator[Grid]:
+    def fill(k: int) -> Iterator[Grid]:
+        # k is the row-major index of the cell to fill
         if deadline is not None and time.monotonic() > deadline:
             raise _DeadlineHit
+        if k == n * n:
+            yield tuple(tuple(r) for r in grid)
+            return
+        i, j = divmod(k, n)
         if i == n - 1:
-            # the bottom row is forced cell by cell by the column sums
-            forced = [s - col_sum[jj] for jj in range(n)]
-            if any(d not in members for d in forced):
-                return
-            for jj, d in enumerate(forced):
-                if not place(n - 1, jj, d):
-                    for kk in range(jj):
-                        unplace(n - 1, kk, forced[kk])
-                    return
-            if (all(dplus[k] == s for k in plus_tracked)
-                    and all(dminus[k] == s for k in minus_tracked)):
-                yield tuple(tuple(r) for r in grid)
-            for jj, d in enumerate(forced):
-                unplace(n - 1, jj, d)
-            return
-        if j == n - 1:
-            d = s - row_sum[i]
-            if d not in members:
-                return
-            if place(i, j, d):
-                yield from fill(i + 1, 0)
-                unplace(i, j, d)
-            return
-        for d in choices():
-            if place(i, j, d):
-                yield from fill(i, j + 1)
-                unplace(i, j, d)
+            candidates = (s - cols[j],)
+        elif j == n - 1:
+            candidates = (s - rows[i],)
+        elif rng is None:
+            candidates = digits
+        else:
+            candidates = digits[:]
+            rng.shuffle(candidates)
+        # d fits if every line through (i, j) can still reach s with its
+        # open cells; a diagonal class holds one cell per row, so after row
+        # i it has n - 1 - i open cells, as many as the column
+        kp, km = (j - i) % n, (i + j) % n
+        least = most = cols[j]
+        if pandiagonal or kp == 0:
+            least, most = min(least, plus[kp]), max(most, plus[kp])
+        if pandiagonal or km == n - 1:
+            least, most = min(least, minus[km]), max(most, minus[km])
+        row_open, col_open = n - 1 - j, n - 1 - i
+        low = max(s - rows[i] - row_open * hi, s - least - col_open * hi)
+        high = min(s - rows[i] - row_open * lo, s - most - col_open * lo)
+        for d in candidates:
+            if low <= d <= high and d in members:
+                grid[i][j] = d
+                rows[i] += d
+                cols[j] += d
+                plus[kp] += d
+                minus[km] += d
+                yield from fill(k + 1)
+                rows[i] -= d
+                cols[j] -= d
+                plus[kp] -= d
+                minus[km] -= d
 
-    yield from fill(0, 0)
-
-
-def _fits(partial: int, remaining: int, target: int, lo: int, hi: int) -> bool:
-    return partial + remaining * lo <= target <= partial + remaining * hi
+    yield from fill(0)
 
 
 def _prefix_distinct_ok(grids: list[Grid], order: int,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitsquares import Square, render_square
+from digitsquares import SearchSpec, Square, gen_square, generate, render_square
 from digitsquares.cli import DocumentError, SquareDocument, main, parse_document
 
 EXT_DOC = {
@@ -155,6 +155,60 @@ def test_verify_rejects_non_ascii_csv_header(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_verify_reads_csv_header_after_blank_lines(capsys, tmp_path):
+    path = tmp_path / "sq.csv"
+    path.write_text('\n\n# 3,2\n"10","22","01"\n"02","11","20"\n"21","00","12"\n')
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "s1: 33" in out
+
+
+@pytest.mark.parametrize("key", ["order", "width"])
+def test_verify_rejects_boolean_order_and_width(capsys, tmp_path, key):
+    doc = dict({"order": 1, "width": 1, "rows": [["1"]]}, **{key: True})
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert f"{key} must be a positive integer, got True" in err
+
+
+MALFORMED = {
+    "csv field over the csv module's limit":
+        ("sq.csv", b'# 1,1\n"' + b"1" * 140000 + b'"\n'),
+    "json nested 2000 deep":
+        ("sq.json", b'{"order": ' + b"[" * 2000 + b"]" * 2000 + b"}"),
+    "not utf-8": ("sq.json", b'{"order": 1, "width": 1, "rows": [["\xe9"]]}'),
+    "json integer of 5000 digits":
+        ("sq.json", b'{"order": ' + b"9" * 5000 + b', "width": 1}'),
+    "csv header number of 5000 digits":
+        ("sq.csv", b"# " + b"9" * 5000 + b",1\n1\n"),
+}
+
+
+@pytest.mark.parametrize("command", [["verify"], ["transform", "--mirror"],
+                                     ["render"], ["decompose"]],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_malformed_documents_exit_2_naming_the_source(capsys, tmp_path,
+                                                      monkeypatch, command,
+                                                      case, from_stdin):
+    name, data = MALFORMED[case]
+    if from_stdin:
+        source = "-"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    else:
+        source = str(tmp_path / name)
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run(capsys, *command, source)
+    assert code == 2
+    shown = "<stdin>" if from_stdin else source
+    assert err.startswith(f"error: {shown}:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @st.composite
 def digit_like_documents(draw):
     # a quarter of the documents use ASCII digits only, so that many parse
@@ -233,6 +287,45 @@ def test_generate_unsatisfiable_exits_3(capsys):
                        "--line-sum", "7")
     assert code == 3
     assert "no squares" in err
+
+
+def test_generate_unsatisfiable_out_leaves_no_file(capsys, tmp_path):
+    path = tmp_path / "none.json"
+    code, _, _ = run(capsys, "generate", "--order", "3", "--width", "1",
+                     "--line-sum", "2", "--out", str(path))
+    assert code == 3
+    assert not path.exists()
+
+
+def test_generate_writes_squares_as_they_arrive(capsys, monkeypatch):
+    def one_then_fail(spec):
+        yield Square.from_strings([["1"]])
+        raise RuntimeError("search died after the first square")
+
+    monkeypatch.setattr(generate, "gen_square", one_then_fail)
+    with pytest.raises(RuntimeError):
+        main(["generate", "--order", "3", "--width", "1", "--line-sum", "3"])
+    out = capsys.readouterr().out
+    assert out == json.dumps({"order": 1, "width": 1, "rows": [["1"]]},
+                             indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("limit", ["1", "3"])
+def test_generate_streamed_output_matches_whole_dump(capsys, fmt, limit):
+    args = ["generate", "--order", "3", "--width", "2", "--line-sum", "3",
+            "--limit", limit, "--deterministic", "--format", fmt]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    docs = [SquareDocument.from_square(sq).to_json_dict()
+            for sq in gen_square(SearchSpec(order=3, width=2, line_sums=(3, 3),
+                                            limit=int(limit),
+                                            deterministic=True))]
+    if fmt == "json":
+        assert out == json.dumps(docs, indent=2) + "\n"
+    else:
+        assert out == "\n---\n".join(json.dumps(d, indent=2)
+                                      for d in docs) + "\n"
 
 
 def test_generate_budget_exhausted_exits_3(capsys):

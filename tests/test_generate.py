@@ -63,6 +63,32 @@ def test_gen_layers_pandiagonal():
         assert sum(g[i][(k - i) % 5] for i in range(5)) == 5
 
 
+@pytest.mark.parametrize("order, digits, line_sum, pandiagonal, seed, count, "
+                         "digest, next_draw", [
+    (4, (0, 1, 2), 4, False, None, 219,
+     "e0cabb9a643becc0e8194419bd607673659f28814a2a3cb6f5f4b9363e857f6f", None),
+    (5, (0, 1, 2), 5, True, 1, 351,
+     "ca45313b3d093ccb86278ebaa558e87625f8b6c53f6d5d5c042507e570eb3a56",
+     0.9149110791206112),
+    (4, (0, 2, 5), 9, False, 3, 24,
+     "9b7448a677586b199581397a1f9f2ad38e45359926812b6a680ef0f76e2eb143",
+     0.23677322567489312),
+], ids=["order 4 ascending", "order 5 pandiagonal seed 1",
+        "gapped alphabet seed 3"])
+def test_layer_stream_order_and_draws_are_pinned(order, digits, line_sum,
+                                                 pandiagonal, seed, count,
+                                                 digest, next_draw):
+    # counts, digests and next draws measured on the parent commit: the
+    # grids, their order and the generator's draws must not move
+    rng = None if seed is None else random.Random(seed)
+    grids = list(_layer_stream(order, Alphabet(digits), line_sum,
+                               pandiagonal=pandiagonal, rng=rng))
+    assert len(grids) == count
+    assert hashlib.sha256(repr(grids).encode()).hexdigest() == digest
+    if rng is not None:
+        assert rng.random() == next_draw
+
+
 def test_stack_layers(lo_shu):
     planes = decompose(lo_shu)
     assert recompose(list(planes)).cells == lo_shu.cells
