@@ -6,15 +6,15 @@ verifies their sums exactly, rotates and mirrors them the way a seven
 segment display would, and draws them.
 """
 
-from .core import (Alphabet, CodeWord, DigitMap, MIRROR, NonMirrorableDigit,
+from .core import (Alphabet, CodeWord, MIRROR, NonMirrorableDigit,
                    NonRotatableDigit, ROTATION_180, ShapeMismatch, Square,
                    decompose, mirror_codeword, mirror_square,
                    palindromic_extend, recompose, rotate_codeword,
                    rotate_square)
 from .generate import (BudgetExhausted, SearchSpec, Unsatisfiable,
                        compose_blocks, gen_square)
-from .sevenseg import (MalformedBlock, SegmentGlyph, render_codeword,
-                       render_square, rotate_text)
+from .sevenseg import (MalformedBlock, render_codeword, render_square,
+                       rotate_text)
 from .verify import (BadBlockSize, ClaimAudit, EntryProperties, InvalidState,
                      LineSum, NotDivisible, PropertyReport, PythagorasResult,
                      audit_published_values, check_bimagic, check_blocks,
@@ -25,10 +25,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "BadBlockSize", "BudgetExhausted", "ClaimAudit", "CodeWord",
-    "DigitMap", "EntryProperties", "InvalidState", "LineSum", "MIRROR",
+    "EntryProperties", "InvalidState", "LineSum", "MIRROR",
     "MalformedBlock", "NonMirrorableDigit", "NonRotatableDigit",
     "NotDivisible", "PropertyReport", "PythagorasResult", "ROTATION_180",
-    "SearchSpec", "SegmentGlyph", "ShapeMismatch", "Square", "Unsatisfiable",
+    "SearchSpec", "ShapeMismatch", "Square", "Unsatisfiable",
     "audit_published_values", "check_bimagic", "check_blocks",
     "check_magic", "check_pandiagonal", "compose_blocks",
     "decompose", "entry_properties", "gen_square", "line_sums",

@@ -42,18 +42,12 @@ class DocumentError(ValueError):
 
 @dataclass
 class SquareDocument:
-    """The serialised form of a square."""
+    """A parsed input document; ``to_square`` builds and validates the square."""
 
     order: int
     width: int
     rows: list[list[str]]
     alphabet: str | None = None
-
-    @classmethod
-    def from_square(cls, square: Square) -> "SquareDocument":
-        return cls(order=square.order, width=square.width,
-                   rows=square.to_strings(),
-                   alphabet=str(square.alphabet) if square.alphabet else None)
 
     @classmethod
     def from_json_dict(cls, obj: object) -> "SquareDocument":
@@ -100,12 +94,14 @@ class SquareDocument:
         alphabet = Alphabet.from_string(self.alphabet) if self.alphabet else None
         return Square.from_strings(self.rows, alphabet)
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"order": self.order, "width": self.width}
-        if self.alphabet is not None:
-            out["alphabet"] = self.alphabet
-        out["rows"] = self.rows
-        return out
+
+def _document(square: Square) -> dict:
+    """The JSON document of a square, keys in the order they are written."""
+    out: dict = {"order": square.order, "width": square.width}
+    if square.alphabet is not None:
+        out["alphabet"] = str(square.alphabet)
+    out["rows"] = square.to_strings()
+    return out
 
 
 def parse_document(text: str, source: str = "<input>") -> SquareDocument:
@@ -325,8 +321,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return EXIT_SEARCH
 
     def dump(square: Square) -> str:
-        doc = json.dumps(SquareDocument.from_square(square).to_json_dict(),
-                         indent=2)
+        doc = json.dumps(_document(square), indent=2)
         # in the array every line sits two spaces deeper, as json.dumps of
         # the whole list would put it
         return ("  " + doc.replace("\n", "\n  ") if args.format == "json"
@@ -352,9 +347,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     except UnmappableDigit as exc:
         print(f"cannot transform: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    doc = SquareDocument.from_square(result).to_json_dict()
     with _output(args.out) as out:
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json.dumps(_document(result), indent=2) + "\n")
     return EXIT_OK
 
 

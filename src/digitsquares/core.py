@@ -16,7 +16,8 @@ relevant map make the transform fail, loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 
 class UnmappableDigit(ValueError):
@@ -74,46 +75,12 @@ def is_digit_string(text: object) -> bool:
     return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
-@dataclass(frozen=True)
-class DigitMap:
-    """A partial digit-to-digit substitution.
-
-    Only digits in the domain can be transformed; asking for any other digit
-    is an error at a higher level (the caller knows the position and raises
-    the specific exception). The two maps shipped with this module are
-    involutions, and ``is_involution`` lets tests pin that down.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        table = dict(self.pairs)
-        if len(table) != len(self.pairs):
-            raise ValueError("duplicate digit in map domain")
-        for k, v in table.items():
-            if not (0 <= k <= 9 and 0 <= v <= 9):
-                raise ValueError(f"digit out of range in map: {k} -> {v}")
-        object.__setattr__(self, "_table", table)
-
-    def __contains__(self, digit: int) -> bool:
-        return digit in self._table
-
-    def __getitem__(self, digit: int) -> int:
-        return self._table[digit]
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._table)
-
-    def is_involution(self) -> bool:
-        return all(self._table.get(v) == k for k, v in self._table.items())
-
-
 #: Digits that read as a digit again after a half turn of the display.
-ROTATION_180 = DigitMap(((0, 0), (1, 1), (2, 2), (5, 5), (6, 9), (8, 8), (9, 6)))
+ROTATION_180: Mapping[int, int] = MappingProxyType(
+    {0: 0, 1: 1, 2: 2, 5: 5, 6: 9, 8: 8, 9: 6})
 
 #: Digits that read as a digit again in a mirror. In the mirror 2 becomes 5.
-MIRROR = DigitMap(((0, 0), (1, 1), (2, 5), (5, 2), (8, 8)))
+MIRROR: Mapping[int, int] = MappingProxyType({0: 0, 1: 1, 2: 5, 5: 2, 8: 8})
 
 
 @dataclass(frozen=True)
@@ -258,35 +225,35 @@ class Square:
         return [c for row in self.cells for c in row]
 
 
-def rotate_codeword(word: CodeWord, digit_map: DigitMap = ROTATION_180) -> CodeWord:
+def rotate_codeword(word: CodeWord) -> CodeWord:
     """Read a code word upside down: reverse it, substitute every digit.
 
-    Raises NonRotatableDigit at the first digit (left to right) outside the
-    map's domain.
+    Raises NonRotatableDigit at the first digit (left to right) that
+    ROTATION_180 has no image for.
     """
-    return _reflect_codeword(word, digit_map, NonRotatableDigit)
+    return _reflect_codeword(word, ROTATION_180, NonRotatableDigit)
 
 
-def mirror_codeword(word: CodeWord, digit_map: DigitMap = MIRROR) -> CodeWord:
+def mirror_codeword(word: CodeWord) -> CodeWord:
     """Read a code word in a mirror: reverse it, substitute every digit."""
-    return _reflect_codeword(word, digit_map, NonMirrorableDigit)
+    return _reflect_codeword(word, MIRROR, NonMirrorableDigit)
 
 
-def rotate_square(square: Square, digit_map: DigitMap = ROTATION_180) -> Square:
+def rotate_square(square: Square) -> Square:
     """Turn the whole square by 180 degrees.
 
     Cell (i, j) of the result is the rotated cell (n-1-i, n-1-j) of the
     input, so the page reads the same way after physically turning it.
     """
-    return _reflect_square(square, digit_map, flip_rows=True)
+    return _reflect_square(square, ROTATION_180, flip_rows=True)
 
 
-def mirror_square(square: Square, digit_map: DigitMap = MIRROR) -> Square:
+def mirror_square(square: Square) -> Square:
     """Reflect the square left to right, mirroring every cell."""
-    return _reflect_square(square, digit_map, flip_rows=False)
+    return _reflect_square(square, MIRROR, flip_rows=False)
 
 
-def _reflect_codeword(word: CodeWord, digit_map: DigitMap,
+def _reflect_codeword(word: CodeWord, digit_map: Mapping[int, int],
                       error: type[UnmappableDigit], row: int | None = None,
                       col: int | None = None) -> CodeWord:
     # both a half turn and a mirror read the digits right to left
@@ -297,7 +264,7 @@ def _reflect_codeword(word: CodeWord, digit_map: DigitMap,
         raise error(pos, word.digits[pos], row, col) from None
 
 
-def _reflect_square(square: Square, digit_map: DigitMap,
+def _reflect_square(square: Square, digit_map: Mapping[int, int],
                     flip_rows: bool) -> Square:
     # a half turn reverses rows and columns, a mirror only the columns
     error = NonRotatableDigit if flip_rows else NonMirrorableDigit

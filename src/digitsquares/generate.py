@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -33,6 +34,11 @@ class Unsatisfiable(RuntimeError):
 
 class BudgetExhausted(RuntimeError):
     """The time budget ran out before the first square was found."""
+
+
+# frames kept free for the caller of a search and the search's own fixed
+# frames; the CLI needs 12 of them
+_CALLER_FRAMES = 30
 
 
 class _DeadlineHit(Exception):
@@ -53,6 +59,10 @@ class SearchSpec:
     ``deterministic`` makes the stream the lexicographically ordered one;
     otherwise the branching order is shuffled by a generator seeded from
     ``seed``, which is still reproducible run to run.
+
+    A layer search nests about (searched width + order**2) generators, so a
+    spec that would pass ``sys.getrecursionlimit()`` less ``_CALLER_FRAMES``
+    is rejected with ValueError instead of failing with RecursionError.
     """
 
     order: int
@@ -100,6 +110,17 @@ class SearchSpec:
                                  f"got {len(self.line_sums)}")
         if self.palindromic and self.width % 2 != 0:
             raise ValueError("palindromic cells need an even width")
+        if not self.bimagic:
+            # the layer search nests one generator per searched place and
+            # one per cell, below the frames of its caller
+            depth = ((self.width // 2 if self.palindromic else self.width)
+                     + self.order ** 2)
+            limit = sys.getrecursionlimit()
+            if depth > limit - _CALLER_FRAMES:
+                raise ValueError(
+                    f"order {self.order} with width {self.width} searches "
+                    f"{depth} frames deep; the recursion limit {limit} "
+                    f"allows {limit - _CALLER_FRAMES}")
 
     @property
     def s1(self) -> int:

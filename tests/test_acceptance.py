@@ -19,7 +19,7 @@ from digitsquares import (Alphabet, CodeWord, MIRROR, ROTATION_180,
                           pythagoras_check, recompose, render_codeword,
                           rotate_codeword, rotate_square, rotate_text,
                           s2_from_multiset)
-from digitsquares.cli import SquareDocument, main
+from digitsquares.cli import _document, main
 from digitsquares.generate import _layer_stream, bimagic_search
 
 
@@ -217,13 +217,13 @@ def test_criterion_09_round_trips_and_rendering_laws():
                 for _ in range(n))
             sq = Square(cells)
             assert recompose(decompose(sq)).cells == sq.cells
-        pool = sorted(ROTATION_180.domain)
+        pool = sorted(ROTATION_180)
         for _ in range(500):
             word = CodeWord(tuple(rng.choice(pool)
                                   for _ in range(rng.randint(1, 6))))
             assert rotate_text(render_codeword(word)) \
                 == render_codeword(rotate_codeword(word))
-        mpool = sorted(MIRROR.domain)
+        mpool = sorted(MIRROR)
         for _ in range(500):
             word = CodeWord(tuple(rng.choice(mpool)
                                   for _ in range(rng.randint(1, 6))))
@@ -271,8 +271,7 @@ def test_criterion_11_composite_blocks_and_exit_codes(tmp_path, capsys):
 
         # the order-16 composite through the CLI, plus the exit contract
         path = tmp_path / "sixteen.json"
-        path.write_text(
-            json.dumps(SquareDocument.from_square(sixteen).to_json_dict()))
+        path.write_text(json.dumps(_document(sixteen)))
         code = main(["verify", "--magic", "--blocks", "4", str(path)])
         out, _ = capsys.readouterr()
         assert code == 0

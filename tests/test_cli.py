@@ -3,13 +3,19 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digitsquares
 from digitsquares import SearchSpec, Square, gen_square, generate, render_square
-from digitsquares.cli import DocumentError, SquareDocument, main, parse_document
+from digitsquares.cli import (DocumentError, SquareDocument, _document, main,
+                              parse_document)
 
 EXT_DOC = {
     "order": 3,
@@ -317,7 +323,7 @@ def test_generate_streamed_output_matches_whole_dump(capsys, fmt, limit):
             "--limit", limit, "--deterministic", "--format", fmt]
     code, out, _ = run(capsys, *args)
     assert code == 0
-    docs = [SquareDocument.from_square(sq).to_json_dict()
+    docs = [_document(sq)
             for sq in gen_square(SearchSpec(order=3, width=2, line_sums=(3, 3),
                                             limit=int(limit),
                                             deterministic=True))]
@@ -343,6 +349,35 @@ def test_generate_flag_conflicts_exit_2(capsys):
     code, _, err = run(capsys, "generate", "--order", "3", "--width", "2")
     assert code == 2
     assert "--line-sum" in err
+
+
+def run_child(*argv):
+    # a fresh interpreter, so the search starts at the CLI's own stack depth
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(digitsquares.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "digitsquares", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("order, width", [("34", "1"), ("3", "1200")])
+def test_generate_too_deep_search_exits_2(order, width):
+    proc = run_child("generate", "--order", order, "--width", width,
+                     "--line-sum", order)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"order {order} with width {width}" in proc.stderr
+    assert "recursion limit 1000" in proc.stderr
+
+
+@pytest.mark.parametrize("order, width", [("31", "1"), ("3", "961")])
+def test_generate_deepest_allowed_search_runs(order, width):
+    # 31 * 31 + 1 and 3 * 3 + 961 frames: up to the deepest the check lets by
+    proc = run_child("generate", "--order", order, "--width", width,
+                     "--line-sum", order, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    (doc,) = json.loads(proc.stdout)
+    assert (doc["order"], doc["width"]) == (int(order), int(width))
 
 
 def test_generate_bimagic(capsys, tmp_path):

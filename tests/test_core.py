@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitsquares import (Alphabet, CodeWord, MIRROR, NonMirrorableDigit,
-                          NonRotatableDigit, ROTATION_180, ShapeMismatch,
-                          Square, check_magic, decompose, mirror_codeword,
+                          NonRotatableDigit, ROTATION_180, SearchSpec,
+                          ShapeMismatch, Square, check_magic, compose_blocks,
+                          decompose, gen_square, mirror_codeword,
                           mirror_square, palindromic_extend, recompose,
                           rotate_codeword, rotate_square)
 from digitsquares.core import UnmappableDigit
@@ -51,16 +54,16 @@ def test_codewords_sort_like_strings():
 
 
 def test_rotation_map():
-    assert ROTATION_180.is_involution()
-    assert ROTATION_180.domain == {0, 1, 2, 5, 6, 8, 9}
+    assert all(ROTATION_180[ROTATION_180[d]] == d for d in ROTATION_180)
+    assert set(ROTATION_180) == {0, 1, 2, 5, 6, 8, 9}
     assert ROTATION_180[6] == 9
     assert ROTATION_180[9] == 6
     assert 3 not in ROTATION_180
 
 
 def test_mirror_map():
-    assert MIRROR.is_involution()
-    assert MIRROR.domain == {0, 1, 2, 5, 8}
+    assert all(MIRROR[MIRROR[d]] == d for d in MIRROR)
+    assert set(MIRROR) == {0, 1, 2, 5, 8}
     assert MIRROR[2] == 5
     assert MIRROR[5] == 2
 
@@ -102,7 +105,7 @@ def test_rotate_codeword_reports_offending_digit():
 
 def test_rotate_codeword_is_involution():
     rng = random.Random(7)
-    pool = sorted(ROTATION_180.domain)
+    pool = sorted(ROTATION_180)
     for _ in range(300):
         w = CodeWord(tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))))
         assert rotate_codeword(rotate_codeword(w)) == w
@@ -129,7 +132,7 @@ def test_mirror_codeword_rejects_six():
 
 def test_mirror_codeword_is_involution():
     rng = random.Random(11)
-    pool = sorted(MIRROR.domain)
+    pool = sorted(MIRROR)
     for _ in range(300):
         w = CodeWord(tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))))
         assert mirror_codeword(mirror_codeword(w)) == w
@@ -243,3 +246,94 @@ def test_palindromic_extend_diagonal(lo_shu):
     ext = palindromic_extend(lo_shu)
     diagonal = {str(ext.cells[i][i]) for i in range(3)}
     assert diagonal == {"1001", "1111", "1221"}
+
+
+@pytest.mark.parametrize("table", [ROTATION_180, MIRROR])
+def test_digit_maps_are_read_only(table):
+    with pytest.raises(TypeError):
+        table[3] = 3
+    with pytest.raises(TypeError):
+        table[6] = 6
+    assert 3 not in table
+
+
+@st.composite
+def squares(draw, digits, orders=(1, 5), widths=(1, 4)):
+    """Squares over the given digits, some declaring a sorted alphabet."""
+    n = draw(st.integers(*orders))
+    w = draw(st.integers(*widths))
+    flat = draw(st.lists(st.sampled_from(sorted(digits)),
+                         min_size=n * n * w, max_size=n * n * w))
+    cells = tuple(
+        tuple(CodeWord(tuple(flat[(i * n + j) * w:(i * n + j + 1) * w]))
+              for j in range(n))
+        for i in range(n))
+    alphabet = None
+    if draw(st.booleans()):
+        extra = draw(st.sets(st.sampled_from(sorted(digits))))
+        alphabet = Alphabet(tuple(sorted(set(flat) | extra)))
+    return Square(cells, alphabet)
+
+
+@settings(deadline=None)
+@given(squares(ROTATION_180))
+def test_rotate_square_twice_is_identity(square):
+    assert rotate_square(rotate_square(square)) == square
+
+
+@settings(deadline=None)
+@given(squares(MIRROR))
+def test_mirror_square_twice_is_identity(square):
+    assert mirror_square(mirror_square(square)) == square
+
+
+@settings(deadline=None)
+@given(squares(range(10)))
+def test_recompose_undoes_decompose(square):
+    assert recompose(decompose(square), square.alphabet) == square
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(3, 5), st.integers(1, 4), st.integers(0, 2 ** 16),
+       st.data())
+def test_rotate_square_keeps_the_line_sum_of_generated_squares(n, w, seed,
+                                                                data):
+    # a half turn reverses every cell, so the per-place sums come back in
+    # reverse order: S1 stays the same when they read the same both ways.
+    # At order 3 over {0, 1, 2} only the sums 0, 3 and 6 have a layer.
+    place_sum = (st.sampled_from((0, 3, 6)) if n == 3
+                 else st.integers(0, 2 * n))
+    half = data.draw(st.lists(place_sum, min_size=(w + 1) // 2,
+                              max_size=(w + 1) // 2))
+    sums = tuple(half + half[::-1][w % 2:])
+    spec = SearchSpec(order=n, width=w, line_sums=sums, seed=seed)
+    square = next(gen_square(spec))
+    assert check_magic(rotate_square(square)) == check_magic(square) == spec.s1
+
+
+@st.composite
+def block_grids(draw):
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 3))
+    block = squares(range(10), orders=(k, k), widths=(w, w))
+    if draw(st.booleans()):
+        # one shared alphabet, which the composite then declares too
+        alphabet = Alphabet(tuple(range(10)))
+        block = block.map(lambda sq: Square(sq.cells, alphabet))
+    else:
+        block = block.map(lambda sq: Square(sq.cells))
+    return [[draw(block) for _ in range(m)] for _ in range(m)]
+
+
+@settings(deadline=None)
+@given(block_grids())
+def test_compose_blocks_slices_back_into_its_blocks(blocks):
+    whole = compose_blocks(blocks)
+    k = blocks[0][0].order
+    sliced = [[Square(tuple(row[bj * k:(bj + 1) * k]
+                            for row in whole.cells[bi * k:(bi + 1) * k]),
+                      whole.alphabet)
+               for bj in range(len(blocks))]
+              for bi in range(len(blocks))]
+    assert sliced == blocks

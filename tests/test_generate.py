@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,25 @@ def test_search_spec_validation():
         SearchSpec(order=9, width=4, bimagic=True, palindromic=True)
     with pytest.raises(ValueError):
         SearchSpec(order=9, width=4, bimagic=True, line_sums=(9, 9, 9, 8))
+
+
+def test_search_spec_rejects_searches_deeper_than_the_recursion_limit(
+        monkeypatch):
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 1000)
+    SearchSpec(order=31, width=9, line_sums=(31,) * 9)
+    with pytest.raises(ValueError, match="order 31 with width 10 .* 1000"):
+        SearchSpec(order=31, width=10, line_sums=(31,) * 10)
+    with pytest.raises(ValueError, match="order 3 with width 1200"):
+        SearchSpec(order=3, width=1200, line_sums=(3,) * 1200)
+    # palindromic cells search only the first half of the places
+    SearchSpec(order=31, width=18, line_sums=(31,) * 18, palindromic=True)
+    with pytest.raises(ValueError):
+        SearchSpec(order=31, width=20, line_sums=(31,) * 20, palindromic=True)
+    # bimagic squares come from a construction, not the layer search
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 50)
+    SearchSpec(order=9, width=4, bimagic=True)
+    with pytest.raises(ValueError, match="recursion limit 50"):
+        SearchSpec(order=3, width=12, line_sums=(3,) * 12)
 
 
 def test_bimagic_search_first_square():

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from digitsquares import (CodeWord, MalformedBlock, ROTATION_180,
-                          SegmentGlyph, Square, render_codeword,
-                          render_square, rotate_codeword, rotate_square,
-                          rotate_text)
-from digitsquares.sevenseg import GLYPHS
+from digitsquares import (CodeWord, MalformedBlock, ROTATION_180, Square,
+                          render_codeword, render_square, rotate_codeword,
+                          rotate_square, rotate_text)
+from digitsquares.sevenseg import GLYPHS, SegmentGlyph
 
 
 def word(text):
@@ -42,7 +41,7 @@ def test_render_has_no_trailing_whitespace():
 
 
 def test_glyph_rotation_agrees_with_digit_map():
-    for d in sorted(ROTATION_180.domain):
+    for d in sorted(ROTATION_180):
         assert GLYPHS[d].rotate() == GLYPHS[ROTATION_180[d]]
 
 
@@ -65,7 +64,7 @@ def test_rotate_text_accepts_trailing_newline():
 
 def test_rotate_text_commutes_with_rotate_codeword():
     rng = random.Random(3)
-    pool = sorted(ROTATION_180.domain)
+    pool = sorted(ROTATION_180)
     for _ in range(200):
         w = CodeWord(tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))))
         assert rotate_text(render_codeword(w)) \
