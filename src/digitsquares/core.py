@@ -279,7 +279,7 @@ def _reflect_square(square: Square, digit_map: Mapping[int, int],
         for d in alphabet:
             if d not in digit_map:
                 raise error(None, d)
-        alphabet = Alphabet(tuple(sorted(digit_map[d] for d in alphabet)))
+        alphabet = Alphabet(tuple(digit_map[d] for d in alphabet))
     return Square(cells, alphabet)
 
 

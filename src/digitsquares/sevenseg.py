@@ -22,7 +22,7 @@ rendering of the rotated square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 from .core import CodeWord, Square
 
@@ -31,112 +31,60 @@ class MalformedBlock(ValueError):
     """Text handed to rotate_text that is not a seven-segment rendering."""
 
 
-_SEGMENT_NAMES = frozenset("abcdefg")
+# where each segment is drawn in its 3x3 cell: segment -> (row, column, ink)
+_CHART = {"a": (0, 1, "_"), "f": (1, 0, "|"), "g": (1, 1, "_"),
+          "b": (1, 2, "|"), "e": (2, 0, "|"), "d": (2, 1, "_"),
+          "c": (2, 2, "|")}
 
-_ROTATED_SEGMENT = {"a": "d", "b": "e", "c": "f",
-                    "d": "a", "e": "b", "f": "c", "g": "g"}
-
-_DIGIT_SEGMENTS = {
-    0: "abcdef",
-    1: "bc",
-    2: "abdeg",
-    3: "abcdg",
-    4: "bcfg",
-    5: "acdfg",
-    6: "acdefg",
-    7: "abc",
-    8: "abcdefg",
-    9: "abcdfg",
-}
+_DIGIT_SEGMENTS = {d: frozenset(s) for d, s in enumerate(
+    ["abcdef", "bc", "abdeg", "abcdg", "bcfg",
+     "acdfg", "acdefg", "abc", "abcdefg", "abcdfg"])}
 
 
-@dataclass(frozen=True)
-class SegmentGlyph:
-    """The set of lit segments in one 3x3 character cell."""
-
-    segments: frozenset[str]
-
-    def __post_init__(self):
-        bad = self.segments - _SEGMENT_NAMES
-        if bad:
-            raise ValueError(f"unknown segments: {sorted(bad)}")
-
-    @classmethod
-    def for_digit(cls, digit: int) -> "SegmentGlyph":
-        if digit not in _DIGIT_SEGMENTS:
-            raise ValueError(f"no glyph for {digit!r}")
-        return cls(frozenset(_DIGIT_SEGMENTS[digit]))
-
-    def rotate(self) -> "SegmentGlyph":
-        """The glyph after a half turn, with the lone-bar normalisation."""
-        turned = frozenset(_ROTATED_SEGMENT[s] for s in self.segments)
-        if turned == frozenset("ef"):
-            turned = frozenset("bc")
-        return SegmentGlyph(turned)
-
-    def lines(self) -> tuple[str, str, str]:
-        on = self.segments
-        return (
-            " " + ("_" if "a" in on else " ") + " ",
-            ("|" if "f" in on else " ")
-            + ("_" if "g" in on else " ")
-            + ("|" if "b" in on else " "),
-            ("|" if "e" in on else " ")
-            + ("_" if "d" in on else " ")
-            + ("|" if "c" in on else " "),
-        )
+@cache
+def _draw(segments: frozenset[str]) -> tuple[str, str, str]:
+    """The three lines of one cell with the given segments lit."""
+    cell = [[" "] * 3 for _ in range(3)]
+    for s in segments:
+        row, col, ink = _CHART[s]
+        cell[row][col] = ink
+    return tuple("".join(line) for line in cell)
 
 
-GLYPHS = {d: SegmentGlyph.for_digit(d) for d in _DIGIT_SEGMENTS}
+_DIGIT_LINES = {d: _draw(s) for d, s in _DIGIT_SEGMENTS.items()}
 
 
-def _word_lines(glyphs: list[SegmentGlyph]) -> list[str]:
-    per_glyph = [g.lines() for g in glyphs]
-    return [" ".join(cell[r] for cell in per_glyph) for r in range(3)]
+@cache
+def _turn(segments: frozenset[str]) -> frozenset[str]:
+    """The segments after a half turn, with the lone-bar normalisation."""
+    # a half turn swaps a<->d, b<->e and c<->f, and keeps g
+    turned = frozenset("".join(segments).translate(str.maketrans("abcdef",
+                                                                 "defabc")))
+    return frozenset("bc") if turned == frozenset("ef") else turned
 
 
-def _trim(lines: list[str]) -> str:
-    return "\n".join(line.rstrip() for line in lines)
+def _layout(bands: list[list[list[tuple[str, str, str]]]]) -> str:
+    """Lay out bands of words of drawn cells: one space between cells, two
+    between words, a blank line between bands, every line right-trimmed."""
+    out: list[str] = []
+    for band in bands:
+        if out:
+            out.append("")
+        for r in range(3):
+            out.append("  ".join(" ".join(cell[r] for cell in word)
+                                 for word in band).rstrip())
+    return "\n".join(out)
 
 
 def render_codeword(word: CodeWord) -> str:
     """Three right-trimmed lines of ASCII for one code word."""
-    return _trim(_word_lines([GLYPHS[d] for d in word.digits]))
+    return _layout([[[_DIGIT_LINES[d] for d in word.digits]]])
 
 
 def render_square(square: Square) -> str:
     """The whole square as ASCII, one blank line between square rows."""
-    out: list[str] = []
-    for i, row in enumerate(square.cells):
-        if i > 0:
-            out.append("")
-        word_blocks = [_word_lines([GLYPHS[d] for d in c.digits]) for c in row]
-        for r in range(3):
-            out.append("  ".join(block[r] for block in word_blocks))
-    return _trim(out)
-
-
-def _parse_cell(lines: list[str], top: int, left: int) -> SegmentGlyph:
-    # chart of which character is legal where in a 3x3 cell
-    spots = {
-        (0, 0): (" ", None), (0, 1): ("_", "a"), (0, 2): (" ", None),
-        (1, 0): ("|", "f"), (1, 1): ("_", "g"), (1, 2): ("|", "b"),
-        (2, 0): ("|", "e"), (2, 1): ("_", "d"), (2, 2): ("|", "c"),
-    }
-    lit = set()
-    for (dr, dc), (char, segment) in spots.items():
-        got = lines[top + dr][left + dc]
-        if got == " ":
-            continue
-        if got != char or segment is None:
-            raise MalformedBlock(
-                f"unexpected {got!r} at line {top + dr + 1}, "
-                f"column {left + dc + 1}")
-        lit.add(segment)
-    if not lit:
-        raise MalformedBlock(
-            f"blank digit cell at line {top + 1}, column {left + 1}")
-    return SegmentGlyph(frozenset(lit))
+    return _layout([[[_DIGIT_LINES[d] for d in c.digits] for c in row]
+                    for row in square.cells])
 
 
 def _fit_width(width: int, words: int) -> tuple[int, int]:
@@ -164,9 +112,11 @@ def rotate_text(block: str) -> str:
     """Rotate a seven-segment rendering by 180 degrees, as text.
 
     The block must have come out of render_codeword or render_square (or be
-    laid out the same way). For squares whose digits all survive a half turn
-    this commutes with the digit-level rotation: rotating the text equals
-    rendering the rotated square.
+    laid out the same way). Each cell is read at the seven segment spots and
+    the whole block is drawn again from what was read; any character the
+    redraw does not reproduce is rejected. For squares whose digits all
+    survive a half turn this commutes with the digit-level rotation:
+    rotating the text equals rendering the rotated square.
     """
     if block.endswith("\n"):
         block = block[:-1]
@@ -174,54 +124,41 @@ def rotate_text(block: str) -> str:
     if len(raw) % 4 != 3:
         raise MalformedBlock(
             f"{len(raw)} lines do not split into 3-line bands")
-    bands = (len(raw) + 1) // 4
-    for idx in range(3, len(raw), 4):
-        if raw[idx].strip():
-            raise MalformedBlock(f"line {idx + 1} should be blank")
-    for line in raw:
-        extra = set(line) - {" ", "_", "|"}
-        if extra:
-            raise MalformedBlock(f"unexpected characters: {sorted(extra)}")
-
     # geometry: each band holds as many code words as there are bands
-    words = bands
+    words = (len(raw) + 1) // 4
     digits, width = _fit_width(max(len(line) for line in raw), words)
     lines = [line.ljust(width) for line in raw]
-    word_span = 4 * digits - 1
 
-    grid: list[list[list[SegmentGlyph]]] = []
-    for b in range(bands):
-        top = b * 4
-        row: list[list[SegmentGlyph]] = []
+    # bands[b][wi][p]: the lit segments of digit p of word wi in band b
+    bands = []
+    for top in range(0, len(lines), 4):
+        band = []
         for wi in range(words):
-            left = wi * (word_span + 2)
-            row.append([_parse_cell(lines, top, left + 4 * p)
-                        for p in range(digits)])
-        grid.append(row)
-    # everything between the cells must be empty space
-    covered = set()
-    for wi in range(words):
-        left = wi * (word_span + 2)
-        for p in range(digits):
-            covered.update(range(left + 4 * p, left + 4 * p + 3))
-    for b in range(bands):
-        for dr in range(3):
-            line = lines[b * 4 + dr]
-            for col in range(width):
-                if col not in covered and line[col] != " ":
-                    raise MalformedBlock(
-                        f"unexpected {line[col]!r} at line {b * 4 + dr + 1}, "
-                        f"column {col + 1}")
+            word = []
+            for p in range(digits):
+                left = wi * (4 * digits + 1) + 4 * p
+                lit = frozenset(s for s, (r, c, _) in _CHART.items()
+                                if lines[top + r][left + c] != " ")
+                if not lit:
+                    raise MalformedBlock(f"blank digit cell at line {top + 1}, "
+                                         f"column {left + 1}")
+                word.append(lit)
+            band.append(word)
+        bands.append(band)
 
-    flipped: list[str] = []
-    for b in range(bands - 1, -1, -1):
-        if flipped:
-            flipped.append("")
-        # reverse the whole band's digit cells, then regroup into words
-        cells = [g for word in grid[b] for g in word]
-        cells = [g.rotate() for g in reversed(cells)]
-        blocks = [_word_lines(cells[wi * digits:(wi + 1) * digits])
-                  for wi in range(words)]
-        for r in range(3):
-            flipped.append("  ".join(block[r] for block in blocks))
-    return _trim(flipped)
+    redrawn = _layout([[[_draw(s) for s in word] for word in band]
+                       for band in bands]).split("\n")
+    for number, (line, want) in enumerate(zip(lines, redrawn), 1):
+        want = want.ljust(width)
+        if line != want:
+            col = next(c for c in range(width) if line[c] != want[c])
+            raise MalformedBlock(
+                f"unexpected {line[col]!r} at line {number}, column {col + 1}")
+
+    # reverse each band's digit cells, then regroup them into words
+    turned = []
+    for band in reversed(bands):
+        cells = [_turn(s) for word in reversed(band) for s in reversed(word)]
+        turned.append([[_draw(s) for s in cells[wi * digits:(wi + 1) * digits]]
+                       for wi in range(words)])
+    return _layout(turned)

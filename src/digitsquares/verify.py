@@ -8,6 +8,7 @@ block size that does not divide the order).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,13 +260,6 @@ class ClaimAudit:
     note: str
 
 
-def _all_words(width: int) -> list[CodeWord]:
-    words = [()]
-    for _ in range(width):
-        words = [w + (d,) for w in words for d in (0, 1, 2)]
-    return [CodeWord(w) for w in words]
-
-
 def audit_published_values() -> list[ClaimAudit]:
     """Recompute the S2 constants quoted for the order-9 family from scratch.
 
@@ -275,38 +269,25 @@ def audit_published_values() -> list[ClaimAudit]:
     even built. Two different four-digit values circulate; the eight-digit
     value in circulation ends in 0 while the exact sum ends in 5.
     """
+    words4 = [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)]
+    claims = [
+        ("order 9, width 4, cells = all 81 words over {0,1,2}",
+         words4, (17169395, 17169495),
+         "two values circulate for the same square; only one is attainable"),
+        ("order 9, width 8, cells = palindromic extensions of the above",
+         [CodeWord(w.digits + w.digits[::-1]) for w in words4],
+         (1717172174949490,),
+         "the quoted value ends in 0, the exact sum of squares forces 5"),
+        ("order 9, width 6, cells = paired three-digit palindromes",
+         [CodeWord((a1, a0, a1, b1, b0, b1)) for a1, a0, b1, b0
+          in itertools.product((0, 1, 2), repeat=4)],
+         (172916950695,),
+         "exact agreement"),
+    ]
     audits = []
-
-    words4 = _all_words(4)
-    s2_4 = s2_from_multiset(words4, 9)
-    audits.append(ClaimAudit(
-        label="order 9, width 4, cells = all 81 words over {0,1,2}",
-        claimed=(17169395, 17169495),
-        computed=s2_4,
-        consistent=(17169395 == s2_4, 17169495 == s2_4),
-        note="two values circulate for the same square; only one is attainable",
-    ))
-
-    extended = [CodeWord(w.digits + w.digits[::-1]) for w in words4]
-    s2_8 = s2_from_multiset(extended, 9)
-    audits.append(ClaimAudit(
-        label="order 9, width 8, cells = palindromic extensions of the above",
-        claimed=(1717172174949490,),
-        computed=s2_8,
-        consistent=(1717172174949490 == s2_8,),
-        note="the quoted value ends in 0, the exact sum of squares forces 5",
-    ))
-
-    paired = [CodeWord((a1, a0, a1, b1, b0, b1))
-              for a1 in (0, 1, 2) for a0 in (0, 1, 2)
-              for b1 in (0, 1, 2) for b0 in (0, 1, 2)]
-    s2_6 = s2_from_multiset(paired, 9)
-    audits.append(ClaimAudit(
-        label="order 9, width 6, cells = paired three-digit palindromes",
-        claimed=(172916950695,),
-        computed=s2_6,
-        consistent=(172916950695 == s2_6,),
-        note="exact agreement",
-    ))
-
+    for label, entries, claimed, note in claims:
+        computed = s2_from_multiset(entries, 9)
+        audits.append(ClaimAudit(
+            label=label, claimed=claimed, computed=computed,
+            consistent=tuple(c == computed for c in claimed), note=note))
     return audits

@@ -469,6 +469,18 @@ def test_transform_mirror_changes_alphabet(capsys, ext_path):
     assert json.loads(out)["alphabet"] == "015"
 
 
+@pytest.mark.parametrize("mode, alphabet", [("--rotate180", "21"),
+                                             ("--mirror", "51")])
+def test_transform_keeps_the_declared_alphabet_order(capsys, tmp_path, mode,
+                                                     alphabet):
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps({"order": 2, "width": 1, "alphabet": "21",
+                                "rows": [["1", "2"], ["2", "1"]]}))
+    code, out, _ = run(capsys, "transform", mode, str(path))
+    assert code == 0
+    assert json.loads(out)["alphabet"] == alphabet
+
+
 def test_transform_failure_exits_1(capsys, tmp_path):
     path = tmp_path / "seven.json"
     path.write_text(json.dumps({

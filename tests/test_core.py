@@ -259,7 +259,7 @@ def test_digit_maps_are_read_only(table):
 
 @st.composite
 def squares(draw, digits, orders=(1, 5), widths=(1, 4)):
-    """Squares over the given digits, some declaring a sorted alphabet."""
+    """Squares over the given digits, some declaring an unsorted alphabet."""
     n = draw(st.integers(*orders))
     w = draw(st.integers(*widths))
     flat = draw(st.lists(st.sampled_from(sorted(digits)),
@@ -271,7 +271,8 @@ def squares(draw, digits, orders=(1, 5), widths=(1, 4)):
     alphabet = None
     if draw(st.booleans()):
         extra = draw(st.sets(st.sampled_from(sorted(digits))))
-        alphabet = Alphabet(tuple(sorted(set(flat) | extra)))
+        digits_used = sorted(set(flat) | extra)
+        alphabet = Alphabet(tuple(draw(st.permutations(digits_used))))
     return Square(cells, alphabet)
 
 

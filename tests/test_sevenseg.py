@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitsquares import (CodeWord, MalformedBlock, ROTATION_180, Square,
                           render_codeword, render_square, rotate_codeword,
                           rotate_square, rotate_text)
-from digitsquares.sevenseg import GLYPHS, SegmentGlyph
+from digitsquares.sevenseg import _DIGIT_SEGMENTS, _turn
 
 
 def word(text):
@@ -15,14 +17,9 @@ def word(text):
 
 
 def test_glyph_segment_sets():
-    assert GLYPHS[8].segments == frozenset("abcdefg")
-    assert GLYPHS[1].segments == frozenset("bc")
-    assert GLYPHS[0].segments == frozenset("abcdef")
-
-
-def test_glyph_rejects_unknown_segments():
-    with pytest.raises(ValueError):
-        SegmentGlyph(frozenset("xyz"))
+    assert _DIGIT_SEGMENTS[8] == frozenset("abcdefg")
+    assert _DIGIT_SEGMENTS[1] == frozenset("bc")
+    assert _DIGIT_SEGMENTS[0] == frozenset("abcdef")
 
 
 def test_render_single_digits():
@@ -42,12 +39,12 @@ def test_render_has_no_trailing_whitespace():
 
 def test_glyph_rotation_agrees_with_digit_map():
     for d in sorted(ROTATION_180):
-        assert GLYPHS[d].rotate() == GLYPHS[ROTATION_180[d]]
+        assert _turn(_DIGIT_SEGMENTS[d]) == _DIGIT_SEGMENTS[ROTATION_180[d]]
 
 
 def test_glyph_rotation_normalises_the_lone_bars():
     # 1 lands on the left edge after the half turn and snaps back right
-    assert GLYPHS[1].rotate() == GLYPHS[1]
+    assert _turn(_DIGIT_SEGMENTS[1]) == _DIGIT_SEGMENTS[1]
 
 
 def test_rotate_text_single_codeword():
@@ -117,3 +114,57 @@ def test_rotate_text_rejects_ink_between_cells():
     lines[1] = lines[1][:3] + "|" + lines[1][4:]
     with pytest.raises(MalformedBlock):
         rotate_text("\n".join(lines))
+
+
+def _ink(art, line, column, char):
+    """art with char written at the 1-based line and column."""
+    lines = art.split("\n")
+    text = lines[line - 1].ljust(column)
+    lines[line - 1] = text[:column - 1] + char + text[column:]
+    return "\n".join(lines)
+
+
+_EIGHTS = render_square(Square.from_strings([["8", "8"], ["8", "8"]]))
+
+
+@pytest.mark.parametrize("art, line, column, char", [
+    (render_codeword(word("0")), 2, 2, "x"),
+    (_EIGHTS, 4, 1, "_"),
+    (render_codeword(word("0")), 1, 1, "_"),
+    (render_codeword(word("0")), 1, 3, "|"),
+    (render_codeword(word("11")), 2, 4, "|"),
+    (_EIGHTS, 1, 5, "_"),
+], ids=["not-a-segment-character", "band-separator", "top-left-corner",
+        "top-right-corner", "gap-between-digits", "gap-between-words"])
+def test_rotate_text_names_the_first_character_its_redraw_misses(
+        art, line, column, char):
+    with pytest.raises(MalformedBlock) as exc:
+        rotate_text(_ink(art, line, column, char))
+    assert str(exc.value) == \
+        f"unexpected {char!r} at line {line}, column {column}"
+
+
+def test_rotate_text_rejects_a_blank_cell():
+    art = render_codeword(word("81"))
+    blank = "\n".join(" " * 3 + line[3:] for line in art.split("\n"))
+    with pytest.raises(MalformedBlock,
+                       match="^blank digit cell at line 1, column 1$"):
+        rotate_text(blank)
+
+
+@st.composite
+def squares(draw):
+    n = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 3))
+    cell = st.lists(st.integers(0, 9), min_size=w, max_size=w)
+    flat = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    return Square(tuple(
+        tuple(CodeWord(tuple(d)) for d in flat[i * n:(i + 1) * n])
+        for i in range(n)))
+
+
+@settings(deadline=None)
+@given(squares())
+def test_rotate_text_is_involution_on_square_renderings(square):
+    art = render_square(square)
+    assert rotate_text(rotate_text(art)) == art
