@@ -23,8 +23,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterator, TextIO
+from dataclasses import asdict, dataclass
+from typing import Iterable, Iterator, TextIO
 
 from . import generate, sevenseg, verify
 from .core import (Alphabet, ShapeMismatch, Square, UnmappableDigit, decompose,
@@ -104,33 +104,36 @@ def _document(square: Square) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def _naming(source: str) -> Iterator[None]:
+    """Put the source in front of the message of a DocumentError raised inside."""
+    try:
+        yield
+    except DocumentError as exc:
+        raise DocumentError(f"{source}: {exc}") from None
+
+
 def parse_document(text: str, source: str = "<input>") -> SquareDocument:
     """Parse a JSON or CSV square document (the first character decides)."""
-    head = text.lstrip()[:1]
-    if head == "{":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(
-                f"{source}: invalid JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}") from None
-        except RecursionError:
-            raise DocumentError(f"{source}: JSON nested too deeply") from None
-        except ValueError as exc:
-            # an integer literal longer than int() converts
-            raise DocumentError(f"{source}: invalid JSON: {exc}") from None
-        try:
+    with _naming(source):
+        head = text.lstrip()[:1]
+        if head == "{":
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise DocumentError(
+                    f"invalid JSON at line {exc.lineno}, "
+                    f"column {exc.colno}: {exc.msg}") from None
+            except RecursionError:
+                raise DocumentError("JSON nested too deeply") from None
+            except ValueError as exc:
+                # an integer literal longer than int() converts
+                raise DocumentError(f"invalid JSON: {exc}") from None
             return SquareDocument.from_json_dict(obj)
-        except DocumentError as exc:
-            raise DocumentError(f"{source}: {exc}") from None
-    if head == "#":
-        try:
+        if head == "#":
             return _parse_csv(text)
-        except DocumentError as exc:
-            raise DocumentError(f"{source}: {exc}") from None
-    raise DocumentError(
-        f"{source}: expected '{{' (JSON) or '# order,width' (CSV), "
-        f"got {head!r}")
+        raise DocumentError(
+            f"expected '{{' (JSON) or '# order,width' (CSV), got {head!r}")
 
 
 def _parse_csv(text: str) -> SquareDocument:
@@ -170,23 +173,19 @@ def load_document(path: str) -> SquareDocument:
         with open(path, "rb") as fh:
             data = fh.read()
     if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentError(
-                f"{source}: not UTF-8 text, byte {exc.start}: "
-                f"{exc.reason}") from None
+        with _naming(source):
+            try:
+                data = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DocumentError(
+                    f"not UTF-8 text, byte {exc.start}: {exc.reason}") from None
     return parse_document(data, source)
 
 
-@contextlib.contextmanager
-def _output(path: str) -> Iterator[TextIO]:
+def _output(path: str) -> contextlib.AbstractContextManager[TextIO]:
     """Stdout for "-", otherwise the file at path, opened for writing."""
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+    return (contextlib.nullcontext(sys.stdout) if path == "-"
+            else open(path, "w", encoding="utf-8"))
 
 
 def _styled(text: str, code: str) -> str:
@@ -203,31 +202,39 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _label(name: str) -> str:
+    """A property as the CLI writes it: its flag without the dashes."""
+    return name.replace("_", "-")
+
+
+# the entry properties in flag and check order; the report keeps field order
+_ENTRY_CHECKS = ("distinct", "palindromic", "rotation_closed")
+
+
+def _check_printable(numbers: Iterable[int | None], width: int) -> None:
+    """Refuse, before anything is written, a number too long for str()."""
+    # 0 means no limit, as does a release before 3.10.7 without the function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(filter(None, numbers), default=0) >= 10 ** limit:
+        raise DocumentError(
+            f"cells {width} digits wide give numbers of more than {limit} "
+            f"digits, Python's limit for integer to string conversion")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     square = load_document(args.square).to_square()
     rep = verify.report(square)
-    checks: list[tuple[str, bool]] = []
-    if args.magic:
-        checks.append(("magic", rep.magic))
-    if args.bimagic:
-        checks.append(("bimagic", rep.bimagic))
-    if args.pandiagonal:
-        checks.append(("pandiagonal", rep.pandiagonal))
-    if args.pandiagonal_bimagic:
-        checks.append(("pandiagonal-bimagic", rep.pandiagonal_bimagic))
+    checks = [(_label(name), getattr(rep, name))
+              for name in verify.SUM_PROPERTIES if getattr(args, name)]
     if args.blocks is not None:
-        try:
-            common = verify.check_blocks(square, args.blocks)
-        except verify.BadBlockSize as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        checks.append((f"blocks {args.blocks}", common is not None))
-    if args.distinct:
-        checks.append(("distinct", rep.entries.distinct))
-    if args.palindromic:
-        checks.append(("palindromic", rep.entries.palindromic))
-    if args.rotation_closed:
-        checks.append(("rotation-closed", rep.entries.rotation_closed))
+        checks.append((f"blocks {args.blocks}",
+                       verify.check_blocks(square, args.blocks) is not None))
+    checks += [(_label(name), getattr(rep.entries, name))
+               for name in _ENTRY_CHECKS if getattr(args, name)]
+    shown = [rep.s1, rep.s2, *(common for _, common in rep.blocks)]
+    if args.lines or args.format == "json":
+        shown += [x for ln in rep.lines for x in (ln.total, ln.square_total)]
+    _check_printable(shown, square.width)
 
     if args.format == "json":
         payload = rep.as_dict()
@@ -239,16 +246,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"width: {rep.width}")
         print(f"s1: {rep.s1 if rep.s1 is not None else '-'}")
         print(f"s2: {rep.s2 if rep.s2 is not None else '-'}")
-        print(f"magic: {_yesno(rep.magic)}")
-        print(f"bimagic: {_yesno(rep.bimagic)}")
-        print(f"pandiagonal: {_yesno(rep.pandiagonal)}")
-        print(f"pandiagonal-bimagic: {_yesno(rep.pandiagonal_bimagic)}")
+        for name in verify.SUM_PROPERTIES:
+            print(f"{_label(name)}: {_yesno(getattr(rep, name))}")
         for k, common in rep.blocks:
             print(f"block {k}: {common if common is not None else 'none'}")
-        ent = rep.entries
-        print(f"entries: palindromic={_yesno(ent.palindromic)} "
-              f"distinct={_yesno(ent.distinct)} "
-              f"rotation-closed={_yesno(ent.rotation_closed)}")
+        print("entries: " + " ".join(
+            f"{_label(name)}={_yesno(flag)}"
+            for name, flag in asdict(rep.entries).items()))
         if args.lines:
             print("lines:")
             for ln in rep.lines:
@@ -305,20 +309,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
             budget_ms=args.budget_ms,
             deterministic=args.deterministic,
         )
-    except (DocumentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        # SearchSpec's and Alphabet's ValueError is too broad for main to map
+        raise DocumentError(str(exc)) from None
 
-    # both errors come before the first square, so nothing is written yet
-    try:
-        squares = generate.gen_square(spec)
-        first = next(squares)
-    except generate.Unsatisfiable as exc:
-        print(f"no squares: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
-    except generate.BudgetExhausted as exc:
-        print(f"out of budget: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
+    # a search that fails raises before its first square: nothing is written
+    squares = generate.gen_square(spec)
+    first = next(squares)
 
     def dump(square: Square) -> str:
         doc = json.dumps(_document(square), indent=2)
@@ -339,14 +336,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     square = load_document(args.square).to_square()
-    try:
-        if args.rotate180:
-            result = rotate_square(square)
-        else:
-            result = mirror_square(square)
-    except UnmappableDigit as exc:
-        print(f"cannot transform: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    result = rotate_square(square) if args.rotate180 else mirror_square(square)
     with _output(args.out) as out:
         out.write(json.dumps(_document(result), indent=2) + "\n")
     return EXIT_OK
@@ -372,6 +362,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "line_sum": verify.check_magic(recompose((grid,))),
             "rows": [list(row) for row in grid],
         })
+    _check_printable((layer["scale"] for layer in layers), square.width)
     if args.format == "json":
         print(json.dumps({"order": square.order, "width": square.width,
                           "layers": layers}, indent=2))
@@ -394,17 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="report and check properties of a square")
     p.add_argument("square", help="path to a JSON or CSV document, or -")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--magic", action="store_true")
-    p.add_argument("--bimagic", action="store_true")
-    p.add_argument("--pandiagonal", action="store_true")
-    p.add_argument("--pandiagonal-bimagic", action="store_true",
-                   dest="pandiagonal_bimagic")
+    for name in verify.SUM_PROPERTIES:
+        p.add_argument(f"--{_label(name)}", action="store_true")
     p.add_argument("--blocks", type=_integer, metavar="K",
                    help="require all aligned KxK blocks to share one sum")
-    p.add_argument("--distinct", action="store_true")
-    p.add_argument("--palindromic", action="store_true")
-    p.add_argument("--rotation-closed", action="store_true",
-                   dest="rotation_closed")
+    for name in _ENTRY_CHECKS:
+        p.add_argument(f"--{_label(name)}", action="store_true")
     p.add_argument("--lines", action="store_true",
                    help="also print every line's sum and squared sum")
     p.set_defaults(func=cmd_verify)
@@ -457,9 +443,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, ShapeMismatch, verify.InvalidState, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (DocumentError, ShapeMismatch, verify.InvalidState,
+            verify.BadBlockSize, OSError) as exc:
+        failure, code = f"error: {exc}", EXIT_USAGE
+    except UnmappableDigit as exc:
+        failure, code = f"cannot transform: {exc}", EXIT_PROPERTY
+    except generate.Unsatisfiable as exc:
+        failure, code = f"no squares: {exc}", EXIT_SEARCH
+    except generate.BudgetExhausted as exc:
+        failure, code = f"out of budget: {exc}", EXIT_SEARCH
+    print(failure, file=sys.stderr)
+    return code
 
 
 def run() -> None:

@@ -183,19 +183,17 @@ class Square:
         n = len(self.cells)
         if n < 1:
             raise ShapeMismatch("square must have at least one row")
+        # an empty first row fails its length check before w is compared
+        w = self.cells[0][0].width if self.cells[0] else 0
         for i, row in enumerate(self.cells):
             if len(row) != n:
                 raise ShapeMismatch(
                     f"row {i} has {len(row)} cells, expected {n}")
-        w = self.cells[0][0].width
-        for i, row in enumerate(self.cells):
             for j, cell in enumerate(row):
                 if cell.width != w:
                     raise ShapeMismatch(
                         f"cell ({i}, {j}) has width {cell.width}, expected {w}")
-        if self.alphabet is not None:
-            for i, row in enumerate(self.cells):
-                for j, cell in enumerate(row):
+                if self.alphabet is not None:
                     for d in cell.digits:
                         if d not in self.alphabet:
                             raise ValueError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -187,6 +187,10 @@ def s2_from_multiset(entries: Iterable[CodeWord | int], order: int) -> int:
     return total // order
 
 
+# the yes/no properties of a square's line sums, PropertyReport fields in order
+SUM_PROPERTIES = ("magic", "bimagic", "pandiagonal", "pandiagonal_bimagic")
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """Everything the verifier can say about one square."""
@@ -209,16 +213,9 @@ class PropertyReport:
             "width": self.width,
             "s1": self.s1,
             "s2": self.s2,
-            "magic": self.magic,
-            "bimagic": self.bimagic,
-            "pandiagonal": self.pandiagonal,
-            "pandiagonal_bimagic": self.pandiagonal_bimagic,
+            **{name: getattr(self, name) for name in SUM_PROPERTIES},
             "blocks": [{"size": k, "sum": s} for k, s in self.blocks],
-            "entries": {
-                "palindromic": self.entries.palindromic,
-                "distinct": self.entries.distinct,
-                "rotation_closed": self.entries.rotation_closed,
-            },
+            "entries": asdict(self.entries),
             "lines": [{"label": ln.label, "sum": ln.total,
                        "square_sum": ln.square_total} for ln in self.lines],
         }

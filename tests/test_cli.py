@@ -1,5 +1,6 @@
 """End-to-end behaviour of the command line, through main()."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -7,9 +8,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitsquares
@@ -245,6 +247,136 @@ def test_digit_like_documents_parse_or_raise_document_error(doc):
         return
     assert isinstance(square, Square)
     assert square.to_strings() == doc["rows"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(digit_like_documents())
+def test_csv_documents_read_like_json_documents(doc):
+    # a row of no cells would be a blank line, which the CSV reader skips
+    assume(all(doc["rows"]))
+    doc.pop("alphabet", None)
+    csv_text = f"# {doc['order']},{doc['width']}\n" + "".join(
+        ",".join(f'"{cell}"' for cell in row) + "\n" for row in doc["rows"])
+    read = []
+    for text in (json.dumps(doc), csv_text):
+        try:
+            read.append(parse_document(text).to_square())
+        except DocumentError:
+            read.append(None)
+    assert read[0] == read[1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(digit_like_documents())
+def test_whole_cli_runs_on_digit_like_documents_exit_0_1_or_2(doc):
+    text = json.dumps(doc)
+    for command in (["verify"], ["transform", "--rotate180"],
+                    ["transform", "--mirror"], ["render"], ["decompose"]):
+        out, err = io.StringIO(), io.StringIO()
+        with (mock.patch("sys.stdin", io.StringIO(text)),
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            code = main([*command, "-"])
+        assert code in (0, 1, 2), (command, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+
+
+def _write(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["verify", "{truncated}"], 2, "error: {truncated}: invalid JSON"),
+    (["verify", "{missing}"], 2, "error: [Errno 2] No such file"),
+    (["verify", "--blocks", "2", "{ext}"], 2,
+     "error: block size 2 does not tile a square of order 3"),
+    (["transform", "--rotate180", "{three}"], 1, "cannot transform: "),
+    (["transform", "--mirror", "{three}"], 1, "cannot transform: "),
+    (["generate", "--line-sum", "99"], 3, "no squares: "),
+    (["generate", "--order", "4", "--width", "4", "--line-sum", "4",
+      "--budget-ms", "0"], 3, "out of budget: "),
+    (["generate", "--width", "0"], 2, "error: --line-sum is required"),
+    (["generate", "--width", "0", "--line-sum", "3"], 2,
+     "error: width must be at least 1"),
+], ids=["malformed", "missing", "blocks", "rotate-3", "mirror-3",
+        "unsatisfiable", "budget", "no-line-sum", "width-0"])
+def test_exit_code_contract(capsys, tmp_path, argv, code, prefix):
+    paths = {
+        "truncated": _write(tmp_path / "bad.json", '{"order": 3'),
+        "missing": str(tmp_path / "nope.json"),
+        "ext": _write(tmp_path / "ext.json", EXT_DOC),
+        "three": _write(tmp_path / "three.json", {
+            "order": 3, "width": 1, "rows": [["3", "1", "1"]] * 3}),
+    }
+    got, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix.format(**paths))
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def int_digit_limit(request):
+    """Python's digit limit for int to str, set for one test (4300 unless
+    parametrised) and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length to str")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(getattr(request, "param", 4300))
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def wide_document(tmp_path, width):
+    """Order 3, every cell width ones: the squared sums have 2 * width - 1
+    digits, decompose's largest scale 10 ** (width - 1) has width."""
+    return _write(tmp_path / f"wide{width}.json", {
+        "order": 3, "width": width, "rows": [["1" * width] * 3] * 3})
+
+
+@pytest.mark.usefixtures("int_digit_limit")
+@pytest.mark.parametrize("command, widest", [
+    (["verify"], 2150),
+    (["verify", "--lines"], 2150),
+    (["verify", "--format", "json"], 2150),
+    (["decompose"], 4300),
+    (["decompose", "--format", "json"], 4300),
+])
+def test_too_wide_documents_exit_2_before_writing(capsys, tmp_path, command,
+                                                  widest):
+    code, out, err = run(capsys, *command, wide_document(tmp_path, widest))
+    assert (code, err) == (0, "")
+    assert out
+    code, out, err = run(capsys, *command, wide_document(tmp_path, widest + 1))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cells {widest + 1} digits wide give numbers of "
+                   f"more than 4300 digits, Python's limit for integer to "
+                   f"string conversion\n")
+
+
+@pytest.mark.usefixtures("int_digit_limit")
+@pytest.mark.parametrize("command", [["transform", "--rotate180"],
+                                     ["transform", "--mirror"], ["render"]])
+def test_wide_documents_transform_and_render(capsys, tmp_path, command):
+    code, out, err = run(capsys, *command, wide_document(tmp_path, 4400))
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("int_digit_limit", [0], indirect=True)
+@pytest.mark.parametrize("lacks_the_limit", [False, True],
+                         ids=["limit-0", "no-get_int_max_str_digits"])
+def test_wide_documents_without_a_digit_limit(capsys, tmp_path, monkeypatch,
+                                              int_digit_limit,
+                                              lacks_the_limit):
+    if lacks_the_limit:
+        # as on a Python before 3.10.7
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code, out, err = run(capsys, "verify", "--lines",
+                         wide_document(tmp_path, 2151))
+    assert (code, err) == (0, "")
+    assert f"s2: {3 * int('1' * 2151) ** 2}\n" in out
 
 
 def test_verify_missing_file(capsys, tmp_path):

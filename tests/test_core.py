@@ -1,6 +1,7 @@
 """Code words, digit maps, squares and the cell-level transforms."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,19 @@ def test_square_shape_validation():
     with pytest.raises(ShapeMismatch):
         Square.from_strings([["1", "22"], ["3", "4"]])
     assert Square.from_strings([["7"]]).order == 1
+
+
+@pytest.mark.parametrize("rows, alphabet, message", [
+    # a wide cell in row 0 comes before the short row 1
+    ([["1", "22"], ["3"]], None, "cell (0, 1) has width 2, expected 1"),
+    # a stray digit in row 0 comes before the wide cell in row 1
+    ([["1", "5"], ["3", "44"]], Alphabet((1, 3)), "digit 5 in cell (0, 1)"),
+    ([[], ["1"]], None, "row 0 has 0 cells, expected 2"),
+])
+def test_square_reports_its_first_bad_cell_in_row_major_order(rows, alphabet,
+                                                              message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Square.from_strings(rows, alphabet)
 
 
 def test_square_alphabet_enforcement():
