@@ -17,10 +17,13 @@ planes go through the same recompose and re-verify loop as the layer search.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -60,9 +63,11 @@ class SearchSpec:
     otherwise the branching order is shuffled by a generator seeded from
     ``seed``, which is still reproducible run to run.
 
-    A layer search nests about (searched width + order**2) generators, so a
-    spec that would pass ``sys.getrecursionlimit()`` less ``_CALLER_FRAMES``
-    is rejected with ValueError instead of failing with RecursionError.
+    A spec whose searched width plus order**2 passes
+    ``sys.getrecursionlimit()`` less ``_CALLER_FRAMES`` is rejected with
+    ValueError. The rule counts one frame per cell, as the recursive layer
+    search nested them; the layer search is one loop now and only the
+    product over digit places nests, one frame per place.
     """
 
     order: int
@@ -111,8 +116,8 @@ class SearchSpec:
         if self.palindromic and self.width % 2 != 0:
             raise ValueError("palindromic cells need an even width")
         if not self.bimagic:
-            # the layer search nests one generator per searched place and
-            # one per cell, below the frames of its caller
+            # one frame per searched place and one per cell, below the
+            # frames of the caller
             depth = ((self.width // 2 if self.palindromic else self.width)
                      + self.order ** 2)
             limit = sys.getrecursionlimit()
@@ -135,81 +140,162 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                   deadline: float | None = None) -> Iterator[Grid]:
     """Backtracking enumeration of single-digit magic layers, as grids.
 
-    The last cell of each row and the whole last row are forced by the
-    running sums, so only an (n-1) x (n-1) corner is branched on. With
-    ascending digit order the emission is lexicographic by row-major grid;
-    an ``rng`` shuffles the branching order but not the set of grids.
+    One loop walks the cells of rows 0 to n-2 in row-major order and keeps,
+    for each, the digits it has still to try. A digit goes in only if every
+    line through the cell that must sum to s can still reach s with its open
+    cells at the smallest and largest digit. The last cell of each row is
+    forced by the row sum and the whole last row by the column sums, so only
+    an (n-1) x (n-1) corner is branched on. The last row is checked in one
+    step: it sums to n*s - (n-1)*s = s by itself, so each of its digits must
+    be in the alphabet and each diagonal that must sum to s must close at s.
+
+    With ascending digit order the emission is lexicographic by row-major
+    grid. An ``rng`` (a ``random.Random``) shuffles the digits of every
+    branching cell entered, with the draws ``rng.shuffle`` makes; that
+    changes the order of the grids but not their set.
     """
     n, s = order, line_sum
     digits = sorted(alphabet.digits)
     lo, hi = digits[0], digits[-1]
     if s < n * lo or s > n * hi:
         return
-    members = set(digits)
-    grid = [[lo] * n for _ in range(n)]
-    rows, cols = [0] * n, [0] * n
-    # wrap-around diagonal classes: plus is (j - i) mod n, minus is (i + j) mod n
-    plus, minus = [0] * n, [0] * n
-
-    def fill(k: int) -> Iterator[Grid]:
-        # k is the row-major index of the cell to fill
+    members = frozenset(digits)
+    # running sums in one list: rows, columns, the wrap-around diagonal
+    # classes plus = (j - i) mod n and minus = (i + j) mod n, and one spare
+    # slot for the digits of diagonals that need not sum to s
+    col, plus, minus, spare = n, 2 * n, 3 * n, 4 * n
+    sums = [0] * (4 * n + 1)
+    # per branched or row-forced cell: the four sums it adds to, whether
+    # the row forces it, the diagonal sums it is bounded by (its column's
+    # when it is on no tracked diagonal) and the offsets of its bounds; a
+    # diagonal class holds one cell per row, so after row i it has
+    # n - 1 - i open cells, as many as the column
+    cells = []
+    for i in range(n - 1):
+        for j in range(n):
+            c = col + j
+            p = plus + (j - i) % n if pandiagonal or i == j else spare
+            q = minus + (i + j) % n if pandiagonal or i + j == n - 1 else spare
+            row_open, col_open = n - 1 - j, n - 1 - i
+            cells.append((i, c, p, q, j == n - 1,
+                          c if p == spare else p, c if q == spare else q,
+                          s - row_open * hi, s - row_open * lo,
+                          s - col_open * hi, s - col_open * lo))
+    lines = [cell[:4] for cell in cells]
+    # each tracked diagonal ends in the last row, in the cell its column
+    # forces, so it closes at s exactly when its sum equals the column's
+    closes = [(plus + (j + 1) % n, col + j) for j in range(n)
+              if pandiagonal or j == n - 1]
+    closes += [(minus + (j - 1) % n, col + j) for j in range(n)
+               if pandiagonal or j == 0]
+    diagonals, columns = (operator.itemgetter(*ends) for ends in zip(*closes))
+    # the alphabet's digits in [low, high], ascending, for lo <= low, high <= hi
+    span = hi - lo + 1
+    fitting = [tuple(d for d in digits if low <= d <= high)
+               for low in range(lo, hi + 1) for high in range(lo, hi + 1)]
+    shuffled = None if rng is None else _shuffles(rng, digits)
+    grid = [0] * (n * (n - 1))
+    todo: list[Iterator[int] | None] = [None] * len(grid)
+    k = 0
+    while True:
         if deadline is not None and time.monotonic() > deadline:
             raise _DeadlineHit
-        if k == n * n:
-            yield tuple(tuple(r) for r in grid)
-            return
-        i, j = divmod(k, n)
-        if i == n - 1:
-            candidates = (s - cols[j],)
-        elif j == n - 1:
-            candidates = (s - rows[i],)
-        elif rng is None:
-            candidates = digits
+        if k < len(grid):
+            r, c, p, q, forced, bp, bq, rlo, rhi, clo, chi = cells[k]
+            row = sums[r]
+            least = most = sums[c]
+            x = sums[bp]
+            if x < least:
+                least = x
+            elif x > most:
+                most = x
+            x = sums[bq]
+            if x < least:
+                least = x
+            elif x > most:
+                most = x
+            low, high = rlo - row, rhi - row
+            if clo - least > low:
+                low = clo - least
+            if chi - most < high:
+                high = chi - most
+            if forced:
+                # rlo == rhi == s here, so low == high == s - row if it fits
+                candidates = (low,) if low <= high and low in members else ()
+            elif rng is None:
+                if low < lo:
+                    low = lo
+                if high > hi:
+                    high = hi
+                candidates = (fitting[(low - lo) * span + high - lo]
+                              if low <= high else ())
+            else:
+                candidates = next(shuffled)
+                if low > lo or high < hi:
+                    candidates = [d for d in candidates if low <= d <= high]
+            todo[k] = it = iter(candidates)
+            d = next(it, None)
         else:
-            candidates = digits[:]
-            rng.shuffle(candidates)
-        # d fits if every line through (i, j) can still reach s with its
-        # open cells; a diagonal class holds one cell per row, so after row
-        # i it has n - 1 - i open cells, as many as the column
-        kp, km = (j - i) % n, (i + j) % n
-        least = most = cols[j]
-        if pandiagonal or kp == 0:
-            least, most = min(least, plus[kp]), max(most, plus[kp])
-        if pandiagonal or km == n - 1:
-            least, most = min(least, minus[km]), max(most, minus[km])
-        row_open, col_open = n - 1 - j, n - 1 - i
-        low = max(s - rows[i] - row_open * hi, s - least - col_open * hi)
-        high = min(s - rows[i] - row_open * lo, s - most - col_open * lo)
-        for d in candidates:
-            if low <= d <= high and d in members:
-                grid[i][j] = d
-                rows[i] += d
-                cols[j] += d
-                plus[kp] += d
-                minus[km] += d
-                yield from fill(k + 1)
-                rows[i] -= d
-                cols[j] -= d
-                plus[kp] -= d
-                minus[km] -= d
+            if diagonals(sums) == columns(sums):
+                last = tuple([s - x for x in sums[col:plus]])
+                if members.issuperset(last):
+                    yield (*(tuple(grid[a:a + n]) for a in range(0, k, n)),
+                           last)
+            d = None
+        # back up past every cell with no digit left to try
+        while d is None:
+            k -= 1
+            if k < 0:
+                return
+            r, c, p, q = lines[k]
+            d = grid[k]
+            sums[r] -= d
+            sums[c] -= d
+            sums[p] -= d
+            sums[q] -= d
+            d = next(todo[k], None)
+        grid[k] = d
+        sums[r] += d
+        sums[c] += d
+        sums[p] += d
+        sums[q] += d
+        k += 1
 
-    yield from fill(0)
+
+def _shuffles(rng: random.Random, items: list) -> Iterator[list]:
+    # fresh shuffled copies of items, with the draws rng.shuffle makes:
+    # position i swaps with randbelow(i + 1), which draws
+    # (i + 1).bit_length() bits until the value is at most i
+    getrandbits = rng.getrandbits
+    swaps = [(i, (i + 1).bit_length()) for i in range(len(items) - 1, 0, -1)]
+    while True:
+        out = items[:]
+        for i, bits in swaps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            out[i], out[j] = out[j], out[i]
+        yield out
+
+
+def _choices(rng: random.Random, size: int) -> Iterator[int]:
+    # the indexes successive rng.choice calls on `size` items pick: each is
+    # randbelow(size), size.bit_length() bits drawn until the value is below
+    # size
+    draw = functools.partial(rng.getrandbits, size.bit_length())
+    return filter(size.__gt__, iter(draw, -1))
 
 
 def _prefix_distinct_ok(grids: list[Grid], order: int,
                         places_left: int, alphabet_size: int) -> bool:
     # cells sharing a digit prefix must still be separable by the remaining
     # places: a group larger than alphabet_size**places_left is hopeless
+    # (order is implied by the grids; the keys are the cells' prefixes)
+    keys = list(zip(*[itertools.chain.from_iterable(g) for g in grids]))
     budget = alphabet_size ** places_left
-    groups: dict[tuple[int, ...], int] = {}
-    for i in range(order):
-        for j in range(order):
-            key = tuple(g[i][j] for g in grids)
-            c = groups.get(key, 0) + 1
-            if c > budget:
-                return False
-            groups[key] = c
-    return True
+    if budget == 1:
+        return len(set(keys)) == len(keys)
+    return max(Counter(keys).values()) <= budget
 
 
 def _reverify(square: Square, spec: SearchSpec) -> None:
@@ -360,16 +446,20 @@ def _bimagic_planes(spec: SearchSpec, deadline: float | None
             yield _affine_planes(matrix, (0, 0, 0, 0))
         return
     rng = random.Random(spec.seed)
-    choice, mask = rng.choice, _MASKS.get
+    # four rng.choice(_ROWS) calls at a time, as row numbers
+    numbers = _choices(rng, len(_ROWS))
+    quads = zip(numbers, numbers, numbers, numbers)
+    masks = _ROW_MASKS
     seen: set[tuple] = set()
     while len(seen) < _BIMAGIC_FAMILY_SIZE:
         if deadline is not None and time.monotonic() > deadline:
             raise _DeadlineHit
         # about one draw in 11664 is in the family, so this test is hot
-        r0, r1, r2, r3 = matrix = (choice(_ROWS), choice(_ROWS),
-                                   choice(_ROWS), choice(_ROWS))
-        if (mask(r0, 0) | mask(r1, 0) | mask(r2, 0) | mask(r3, 0) == 0xFFFF
-                and _full_rank(matrix)):
+        a, b, c, d = next(quads)
+        if masks[a] | masks[b] | masks[c] | masks[d] != 0xFFFF:
+            continue
+        matrix = (_ROWS[a], _ROWS[b], _ROWS[c], _ROWS[d])
+        if _full_rank(matrix):
             offsets = tuple(rng.randrange(3) for _ in range(4))
             if (matrix, offsets) not in seen:
                 seen.add((matrix, offsets))
@@ -393,8 +483,8 @@ def _line_mask(row: tuple[int, int, int, int]) -> int:
 
 # rows with i0 or j0 in play; the seeded sampler draws from all 72 of them
 _ROWS = [r for r in itertools.product(range(3), repeat=4) if r[1] or r[3]]
-# the 48 of them that vary along all four directions
-_MASKS = {r: m for r in _ROWS if (m := _line_mask(r))}
+# by row number; nonzero for the 48 rows that vary along all four directions
+_ROW_MASKS = [_line_mask(r) for r in _ROWS]
 _BIMAGIC_FAMILY_SIZE = 2304 * 81    # matrices times offsets
 # every family square holds each of the 81 four-digit words once
 _BIMAGIC_S2 = verify.s2_from_multiset(
@@ -408,8 +498,8 @@ def _family_matrices(prefix: tuple = (), used: int = 0
         if _full_rank(prefix):
             yield prefix
         return
-    for row, mask in _MASKS.items():
-        if not used & mask:
+    for row, mask in zip(_ROWS, _ROW_MASKS):
+        if mask and not used & mask:
             yield from _family_matrices(prefix + (row,), used | mask)
 
 

@@ -1,0 +1,136 @@
+"""The one-loop layer search against the recursive search it replaced, its
+seeded draws against the ``random.Random`` routines they stand for, and the
+prefix distinct check against a plain loop."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from digitsquares import Alphabet, SearchSpec, generate
+from digitsquares.generate import _layer_stream
+from oracle import recursive_layer_stream
+
+ALPHABETS = [(0, 1, 2), (0, 1), (1, 2, 3), (0, 2, 5), (0, 9), (3, 4, 7, 8),
+             (5,)]
+
+
+def first_grids(search, order, digits, line_sum, pandiagonal, seed):
+    """The first 300 grids of a search and the draw its generator makes next."""
+    rng = None if seed is None else random.Random(seed)
+    grids = list(itertools.islice(
+        search(order, Alphabet(digits), line_sum, pandiagonal=pandiagonal,
+               rng=rng), 300))
+    return grids, None if rng is None else rng.random()
+
+
+def assert_searches_agree(order, digits, sums, pandiagonals=(False, True)):
+    for line_sum in sums:
+        for pandiagonal in pandiagonals:
+            for seed in (None, 1, 7):
+                case = (order, digits, line_sum, pandiagonal, seed)
+                assert (first_grids(_layer_stream, *case)
+                        == first_grids(recursive_layer_stream, *case)), case
+
+
+@pytest.mark.parametrize("order, digits",
+                         [(3, d) for d in ALPHABETS + [tuple(range(10))]]
+                         + [(4, d) for d in ALPHABETS])
+def test_layer_loop_matches_recursive_search_on_every_sum(order, digits):
+    assert_searches_agree(order, digits, range(-1, order * max(digits) + 2))
+
+
+@pytest.mark.parametrize("order, digits",
+                         [(n, d) for n in (5, 6) for d in ALPHABETS])
+def test_layer_loop_matches_recursive_search_near_the_ends(order, digits):
+    # a middle sum can take the two searches a minute at these orders (the
+    # order-6 pandiagonal search over {0, 1, 2} exhausts sum 4 in 50 s), so
+    # these take the sums just outside, at and next to each end of the range
+    lo, hi = min(digits), max(digits)
+    assert_searches_agree(order, digits, sorted(
+        {-1, order * lo - 1, order * lo, order * lo + 1,
+         order * hi - 1, order * hi, order * hi + 1}))
+
+
+@pytest.mark.parametrize("order, digits", [(5, (0, 1, 2)), (5, (0, 1)),
+                                           (6, (0, 1))])
+def test_layer_loop_matches_recursive_search_on_the_middle_sum(order, digits):
+    assert_searches_agree(order, digits,
+                          [order * (min(digits) + max(digits)) // 2], (False,))
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_shuffles_draw_as_random_shuffle(size):
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        shuffles = generate._shuffles(ours, list(range(size)))
+        for _ in range(3):
+            expected = list(range(size))
+            theirs.shuffle(expected)
+            assert next(shuffles) == expected
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_choices_draw_as_random_choice():
+    rows = generate._ROWS
+    assert len(rows) == 72
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        picks = generate._choices(ours, len(rows))
+        for _ in range(8):
+            assert rows[next(picks)] == theirs.choice(rows)
+        assert ours.getstate() == theirs.getstate()
+
+
+def choice_bimagic_planes(seed, count):
+    """The seeded bimagic sampler drawn with rng.choice, as it was written."""
+    rng = random.Random(seed)
+    seen, planes = set(), []
+    while len(planes) < count:
+        matrix = tuple(rng.choice(generate._ROWS) for _ in range(4))
+        masks = [generate._line_mask(r) for r in matrix]
+        if (masks[0] | masks[1] | masks[2] | masks[3] == 0xFFFF
+                and generate._full_rank(matrix)):
+            offsets = tuple(rng.randrange(3) for _ in range(4))
+            if (matrix, offsets) not in seen:
+                seen.add((matrix, offsets))
+                planes.append(generate._affine_planes(matrix, offsets))
+    return planes
+
+
+@pytest.mark.parametrize("seed", [7])
+def test_bimagic_sampler_draws_as_random_choice(seed):
+    spec = SearchSpec(order=9, width=4, bimagic=True, seed=seed)
+    planes = list(itertools.islice(generate._bimagic_planes(spec, None), 3))
+    assert planes == choice_bimagic_planes(seed, 3)
+
+
+def plain_prefix_distinct_ok(grids, order, places_left, alphabet_size):
+    """A group of cells sharing a prefix fits the places left, cell by cell."""
+    budget = alphabet_size ** places_left
+    groups = {}
+    for i in range(order):
+        for j in range(order):
+            key = tuple(g[i][j] for g in grids)
+            groups[key] = groups.get(key, 0) + 1
+    return all(size <= budget for size in groups.values())
+
+
+PREFIXES = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                      .map(tuple), min_size=n, max_size=n).map(tuple),
+             min_size=1, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(PREFIXES, st.integers(0, 3), st.integers(1, 3))
+def test_prefix_distinct_check_matches_plain_loop(prefix, places_left,
+                                                  alphabet_size):
+    order, grids = prefix
+    assert (generate._prefix_distinct_ok(grids, order, places_left,
+                                         alphabet_size)
+            == plain_prefix_distinct_ok(grids, order, places_left,
+                                        alphabet_size))
