@@ -7,7 +7,8 @@ Squares travel as JSON documents:
 Cells are always strings so that leading zeros survive serialisation. A CSV
 variant is accepted on input only: a first line "# <order>,<width>" followed
 by one CSV record per row (quote cells to keep spreadsheet tools from eating
-leading zeros).
+leading zeros). Reading checks the document's shape: keys, order, width,
+alphabet, rows of order cells; Square checks the cells, as for any square.
 
 Exit codes: 0 success, 1 a requested property does not hold (or a transform
 hit a digit with no image), 2 bad input or usage, 3 search exhausted or out
@@ -42,12 +43,12 @@ class DocumentError(ValueError):
 
 @dataclass
 class SquareDocument:
-    """A parsed input document; ``to_square`` builds and validates the square."""
+    """A document of checked shape; ``to_square`` checks the declared width,
+    which Square cannot know, on cell (0, 0) and leaves the cells to Square."""
 
-    order: int
     width: int
     rows: list[list[str]]
-    alphabet: str | None = None
+    alphabet: Alphabet | None = None
 
     @classmethod
     def from_json_dict(cls, obj: object) -> "SquareDocument":
@@ -66,7 +67,7 @@ class SquareDocument:
         alphabet = obj.get("alphabet")
         if alphabet is not None:
             try:
-                Alphabet.from_string(alphabet)
+                alphabet = Alphabet.from_string(alphabet)
             except ValueError as exc:
                 raise DocumentError(str(exc)) from None
         if not isinstance(rows, list) or len(rows) != order:
@@ -74,25 +75,17 @@ class SquareDocument:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != order:
                 raise DocumentError(f"row {i} must be a list of {order} cells")
-            for j, cell in enumerate(row):
-                if not is_digit_string(cell):
-                    raise DocumentError(
-                        f"cell ({i}, {j}) must be a digit string, got {cell!r}")
-                if len(cell) != width:
-                    raise DocumentError(
-                        f"cell ({i}, {j}) is {len(cell)} digits wide, "
-                        f"expected {width}")
-                if alphabet is not None:
-                    stray = set(cell) - set(alphabet)
-                    if stray:
-                        raise DocumentError(
-                            f"cell ({i}, {j}) uses digits {sorted(stray)} "
-                            f"outside alphabet {alphabet!r}")
-        return cls(order=order, width=width, rows=rows, alphabet=alphabet)
+        return cls(width=width, rows=rows, alphabet=alphabet)
 
     def to_square(self) -> Square:
-        alphabet = Alphabet.from_string(self.alphabet) if self.alphabet else None
-        return Square.from_strings(self.rows, alphabet)
+        first = self.rows[0][0]
+        if is_digit_string(first) and len(first) != self.width:
+            raise DocumentError(f"cell (0, 0) is {len(first)} digits wide, "
+                                f"expected {self.width}")
+        try:
+            return Square.from_strings(self.rows, self.alphabet)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
 
 
 def _document(square: Square) -> dict:
@@ -162,8 +155,8 @@ def _parse_csv(text: str) -> SquareDocument:
         {"order": order, "width": width, "rows": cleaned})
 
 
-def load_document(path: str) -> SquareDocument:
-    """Read a document from a path, or from stdin for "-", and parse it."""
+def load_document(path: str) -> Square:
+    """Read a document from a path, or from stdin for "-": its square."""
     if path == "-":
         source = "<stdin>"
         # a text stream put in place of stdin has no byte buffer
@@ -179,7 +172,9 @@ def load_document(path: str) -> SquareDocument:
             except UnicodeDecodeError as exc:
                 raise DocumentError(
                     f"not UTF-8 text, byte {exc.start}: {exc.reason}") from None
-    return parse_document(data, source)
+    document = parse_document(data, source)
+    with _naming(source):
+        return document.to_square()
 
 
 def _output(path: str) -> contextlib.AbstractContextManager[TextIO]:
@@ -222,7 +217,7 @@ def _check_printable(numbers: Iterable[int | None], width: int) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    square = load_document(args.square).to_square()
+    square = load_document(args.square)
     rep = verify.report(square)
     checks = [(_label(name), getattr(rep, name))
               for name in verify.SUM_PROPERTIES if getattr(args, name)]
@@ -335,7 +330,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    square = load_document(args.square).to_square()
+    square = load_document(args.square)
     result = rotate_square(square) if args.rotate180 else mirror_square(square)
     with _output(args.out) as out:
         out.write(json.dumps(_document(result), indent=2) + "\n")
@@ -343,7 +338,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    square = load_document(args.square).to_square()
+    square = load_document(args.square)
     art = sevenseg.render_square(square)
     if args.compact:
         art = "\n".join(line for line in art.split("\n") if line.strip())
@@ -353,7 +348,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    square = load_document(args.square).to_square()
+    square = load_document(args.square)
     layers = []
     for p, grid in enumerate(decompose(square)):
         layers.append({

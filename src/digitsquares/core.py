@@ -203,8 +203,13 @@ class Square:
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]],
                      alphabet: Alphabet | None = None) -> "Square":
-        cells = tuple(tuple(CodeWord.from_string(c) for c in row)
-                      for row in rows)
+        try:
+            cells = tuple(tuple(map(CodeWord.from_string, r)) for r in rows)
+        except ValueError:
+            i, j = next((i, j) for i, row in enumerate(rows)
+                        for j, c in enumerate(row) if not is_digit_string(c))
+            raise ValueError(f"cell ({i}, {j}) must be a digit string, "
+                             f"got {rows[i][j]!r}") from None
         return cls(cells, alphabet)
 
     @property

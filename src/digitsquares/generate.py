@@ -65,9 +65,9 @@ class SearchSpec:
 
     A spec whose searched width plus order**2 passes
     ``sys.getrecursionlimit()`` less ``_CALLER_FRAMES`` is rejected with
-    ValueError. The rule counts one frame per cell, as the recursive layer
-    search nested them; the layer search is one loop now and only the
-    product over digit places nests, one frame per place.
+    ValueError. Only the product over digit places nests now, so the rule
+    no longer counts frames; it stays because without it seeded searches
+    of order 32 and up stall.
     """
 
     order: int
@@ -116,8 +116,8 @@ class SearchSpec:
         if self.palindromic and self.width % 2 != 0:
             raise ValueError("palindromic cells need an even width")
         if not self.bimagic:
-            # one frame per searched place and one per cell, below the
-            # frames of the caller
+            # order**2 plus the searched width, against the recursion limit
+            # less 30: seeded searches from order 32 on stall without it
             depth = ((self.width // 2 if self.palindromic else self.width)
                      + self.order ** 2)
             limit = sys.getrecursionlimit()

@@ -1,6 +1,19 @@
+import warnings
+
 import pytest
 
 from digitsquares import Alphabet, Square, palindromic_extend
+
+# Hypothesis imports libcst to write a failing example's patch, and that
+# import warns with DeprecationWarning: under "-W error" the run would end in
+# INTERNALERROR and hide the example. The command-line -W overrides a
+# pytest.ini filter, so libcst is imported here once with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -137,6 +137,13 @@ def test_verify_rejects_cells_outside_alphabet(capsys, tmp_path):
     assert "alphabet" in err
 
 
+def _with_cell(i, j, cell):
+    """EXT_DOC with cell (i, j) replaced."""
+    rows = [list(row) for row in EXT_DOC["rows"]]
+    rows[i][j] = cell
+    return dict(EXT_DOC, rows=rows)
+
+
 @pytest.mark.parametrize("doc, where", [
     # both pass str.isdigit; int() rejects "²" and reads "٣" as 3
     ({"order": 1, "width": 1, "rows": [["²"]]}, "cell (0, 0)"),
@@ -144,15 +151,24 @@ def test_verify_rejects_cells_outside_alphabet(capsys, tmp_path):
     ({"order": 1, "width": 1, "alphabet": "11", "rows": [["1"]]},
      "alphabet has repeated digits"),
     ({"order": 1, "width": 1, "alphabet": "1²", "rows": [["1"]]}, "alphabet"),
+    (_with_cell(2, 1, "22222"), "cell (2, 1)"),
+    (_with_cell(1, 1, "1911"), "cell (1, 1)"),
+    (_with_cell(0, 1, 2222), "cell (0, 1)"),
+    (_with_cell(1, 2, ["2002"]), "cell (1, 2)"),
+    (dict(EXT_DOC, rows=[EXT_DOC["rows"][0], EXT_DOC["rows"][1][:2],
+                         EXT_DOC["rows"][2]]), "row 1"),
 ], ids=["superscript cell", "arabic-indic cell", "repeated alphabet digit",
-        "superscript alphabet"])
+        "superscript alphabet", "too wide cell", "digit outside alphabet",
+        "int cell", "list cell", "short row"])
 def test_verify_rejects_non_ascii_digits_and_repeats(capsys, tmp_path, doc,
                                                      where):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "verify", str(path))
+    code, out, err = run(capsys, "verify", str(path))
     assert code == 2
+    assert err.startswith(f"error: {path}: ")
     assert where in err
+    assert out == ""
 
 
 def test_verify_rejects_non_ascii_csv_header(capsys, tmp_path):
@@ -238,13 +254,59 @@ def digit_like_documents(draw):
     return doc
 
 
+@st.composite
+def one_width_documents(draw):
+    # ASCII cells all of one width, which need not be the declared one, and
+    # an alphabet that may leave out digits the cells use: documents the
+    # cell rules alone reject, which digit_like_documents seldom draws
+    order = draw(st.integers(1, 3))
+    cell_width = draw(st.integers(1, 3))
+    cell = st.text("0129", min_size=cell_width, max_size=cell_width)
+    row = st.lists(cell, min_size=order, max_size=order)
+    doc = {"order": order,
+           "width": draw(st.sampled_from([cell_width, cell_width % 3 + 1])),
+           "rows": draw(st.lists(row, min_size=order, max_size=order))}
+    if draw(st.booleans()):
+        digits = draw(st.permutations("0129"))
+        doc["alphabet"] = "".join(digits[:draw(st.integers(1, 4))])
+    return doc
+
+
+def _ascii_digits(text):
+    return isinstance(text, str) and text != "" and all(
+        c in "0123456789" for c in text)
+
+
+def _reference_accepts(doc):
+    """The document rule written out plainly, one check after another.
+
+    The shape first: order and width positive, a valid alphabet if one is
+    given, order rows of order cells. Then every cell on its own: ASCII
+    digits, the declared width, digits inside the alphabet.
+    """
+    order, width, rows = doc["order"], doc["width"], doc["rows"]
+    if order < 1 or width < 1:
+        return False
+    alphabet = doc.get("alphabet")
+    if alphabet is not None and (not _ascii_digits(alphabet)
+                                 or len(set(alphabet)) != len(alphabet)):
+        return False
+    if len(rows) != order or any(len(row) != order for row in rows):
+        return False
+    return all(_ascii_digits(cell) and len(cell) == width
+               and (alphabet is None or set(cell) <= set(alphabet))
+               for row in rows for cell in row)
+
+
 @settings(deadline=None)
-@given(digit_like_documents())
+@given(st.one_of(digit_like_documents(), one_width_documents()))
 def test_digit_like_documents_parse_or_raise_document_error(doc):
     try:
         square = parse_document(json.dumps(doc)).to_square()
     except DocumentError:
+        assert not _reference_accepts(doc)
         return
+    assert _reference_accepts(doc)
     assert isinstance(square, Square)
     assert square.to_strings() == doc["rows"]
 

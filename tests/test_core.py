@@ -153,6 +153,9 @@ def test_square_shape_validation():
     # a stray digit in row 0 comes before the wide cell in row 1
     ([["1", "5"], ["3", "44"]], Alphabet((1, 3)), "digit 5 in cell (0, 1)"),
     ([[], ["1"]], None, "row 0 has 0 cells, expected 2"),
+    # a cell that is not a digit string is named like the others
+    ([["1", "2"], ["²", "4"]], None,
+     "cell (1, 0) must be a digit string, got '²'"),
 ])
 def test_square_reports_its_first_bad_cell_in_row_major_order(rows, alphabet,
                                                               message):
