@@ -88,13 +88,25 @@ class SquareDocument:
             raise DocumentError(str(exc)) from None
 
 
-def _document(square: Square) -> dict:
-    """The JSON document of a square, keys in the order they are written."""
-    out: dict = {"order": square.order, "width": square.width}
+def _json_document(square: Square, margin: str = "") -> str:
+    """The JSON document of a square, as ``json.dumps(doc, indent=2)`` writes it.
+
+    The keys are order, width, alphabet (when the square has one) and rows,
+    whose cells are strings. Every line starts with ``margin``, which puts
+    the document inside a JSON array as ``json.dumps`` of the array would.
+    The text is written directly: its only values are ints and strings of
+    ASCII digits, which JSON writes as they stand.
+    """
+    nl = "\n" + margin
+    head = (f'{margin}{{{nl}  "order": {square.order},'
+            f'{nl}  "width": {square.width},')
     if square.alphabet is not None:
-        out["alphabet"] = str(square.alphabet)
-    out["rows"] = square.to_strings()
-    return out
+        head += f'{nl}  "alphabet": "{square.alphabet}",'
+    cell = f'",{nl}      "'
+    rows = f",{nl}    ".join(
+        f'[{nl}      "{cell.join(map(str, row))}"{nl}    ]'
+        for row in square.cells)
+    return f'{head}{nl}  "rows": [{nl}    {rows}{nl}  ]{nl}}}'
 
 
 @contextlib.contextmanager
@@ -308,23 +320,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
         # SearchSpec's and Alphabet's ValueError is too broad for main to map
         raise DocumentError(str(exc)) from None
 
+    def budget_spent(emitted: int) -> None:
+        print(f"budget of {spec.budget_ms} ms spent after {emitted} of "
+              f"{spec.limit} squares", file=sys.stderr)
+
     # a search that fails raises before its first square: nothing is written
-    squares = generate.gen_square(spec)
+    squares = generate.gen_square(spec, on_budget=budget_spent)
     first = next(squares)
-
-    def dump(square: Square) -> str:
-        doc = json.dumps(_document(square), indent=2)
-        # in the array every line sits two spaces deeper, as json.dumps of
-        # the whole list would put it
-        return ("  " + doc.replace("\n", "\n  ") if args.format == "json"
-                else doc)
-
-    head, sep, tail = (("[\n", ",\n", "\n]\n") if args.format == "json"
-                       else ("", "\n---\n", "\n"))
+    # in the array every line sits two spaces deeper
+    margin, head, sep, tail = (("  ", "[\n", ",\n", "\n]\n")
+                               if args.format == "json"
+                               else ("", "", "\n---\n", "\n"))
     with _output(args.out) as out:
-        out.write(head + dump(first))
+        out.write(head + _json_document(first, margin))
         for square in squares:
-            out.write(sep + dump(square))
+            out.write(sep + _json_document(square, margin))
         out.write(tail)
     return EXIT_OK
 
@@ -333,7 +343,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     square = load_document(args.square)
     result = rotate_square(square) if args.rotate180 else mirror_square(square)
     with _output(args.out) as out:
-        out.write(json.dumps(_document(result), indent=2) + "\n")
+        out.write(_json_document(result) + "\n")
     return EXIT_OK
 
 

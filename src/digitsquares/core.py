@@ -137,17 +137,20 @@ class CodeWord:
         if not self.digits:
             raise ValueError("code word must have at least one digit")
         for d in self.digits:
-            if not isinstance(d, int) or not 0 <= d <= 9:
+            if (isinstance(d, bool) or not isinstance(d, int)
+                    or not 0 <= d <= 9):
                 raise ValueError(f"not a decimal digit: {d!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "CodeWord":
         if not is_digit_string(text):
             raise ValueError(f"not a digit string: {text!r}")
-        return cls(tuple(int(c) for c in text))
+        # ASCII digits leave nothing for __post_init__ to check
+        return _unchecked(cls, digits=tuple(map(int, text)))
 
     def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits)
+        # one %d per digit: the digits are ints 0-9
+        return "%d" * len(self.digits) % self.digits
 
     @property
     def width(self) -> int:
@@ -295,24 +298,76 @@ def decompose(square: Square) -> tuple[Grid, ...]:
         for p in range(w))
 
 
-def recompose(planes: Sequence[Grid],
-              alphabet: Alphabet | None = None) -> Square:
+def recompose(planes: Sequence[Grid], alphabet: Alphabet | None = None, *,
+              words: WordTable | None = None) -> Square:
     """Stack digit planes, most significant place first, into a square.
 
     Raises ShapeMismatch unless there are planes and all are n x n for one
-    n, and ValueError for an entry that is not a digit or not in ``alphabet``.
+    n, and ValueError for an entry that is not a digit or not in ``alphabet``:
+    the Square checks the cells, as for any square.
+
+    ``words``, a WordTable, stands in for ``alphabet``: it gives the same
+    square as ``recompose(planes, words.alphabet)`` and rejects the same
+    planes. When every entry is a plain int, the cells come from the table,
+    which checked each word when it made it, and the Square does not check
+    them again.
     """
+    if words is None:
+        return Square(_stack(planes, CodeWord), alphabet)
+    if alphabet is not None:
+        raise TypeError("recompose takes alphabet or words, not both")
+    # the table matches digit tuples by equality: a float or bool equal to
+    # a digit would find that digit's word, so only plain ints look it up
+    if {type(v) for plane in planes for row in plane for v in row} == {int}:
+        return _unchecked(Square, cells=_stack(planes, words.__getitem__),
+                          alphabet=words.alphabet)
+    return Square(_stack(planes, CodeWord), words.alphabet)
+
+
+def _stack(planes: Sequence[Grid], word) -> tuple[tuple[CodeWord, ...], ...]:
+    # cell (i, j) is word() of the tuple of plane[i][j] over the planes
     if not planes:
         raise ShapeMismatch("need at least one plane")
     n = len(planes[0])
     for p, plane in enumerate(planes):
         if len(plane) != n or any(len(row) != n for row in plane):
             raise ShapeMismatch(f"plane {p} is not {n} x {n}")
-    cells = tuple(
-        tuple(CodeWord(tuple(plane[i][j] for plane in planes))
-              for j in range(n))
-        for i in range(n))
-    return Square(cells, alphabet)
+    return tuple(tuple(map(word, zip(*rows))) for rows in zip(*planes))
+
+
+class WordTable(dict):
+    """Code words over one alphabet by digit tuple, each checked once.
+
+    ``table[digits]`` is the CodeWord of a tuple of ints. Its first lookup
+    checks the digits as CodeWord does, and each against ``alphabet``, and
+    raises ValueError without making an entry; later lookups are dict hits,
+    and ``table.value[digits]`` is then the word's exact value. A table
+    holds at most ``len(alphabet) ** width`` words and lives as long as the
+    stream of squares it builds.
+    """
+
+    def __init__(self, alphabet: Alphabet):
+        super().__init__()
+        self.alphabet = alphabet
+        self.value: dict[tuple[int, ...], int] = {}
+
+    def __missing__(self, digits: tuple[int, ...]) -> CodeWord:
+        word = CodeWord(digits)
+        for d in digits:
+            if d not in self.alphabet:
+                raise ValueError(f"digit {d} outside alphabet {self.alphabet}")
+        self.value[digits] = word.value
+        self[digits] = word
+        return word
+
+
+def _unchecked(cls, **fields):
+    # a frozen dataclass instance made without __post_init__, for callers
+    # that have checked everything it would
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def palindromic_extend(square: Square) -> Square:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import verify
-from .core import Alphabet, CodeWord, Grid, ShapeMismatch, Square, recompose
+from .core import (Alphabet, CodeWord, Grid, ShapeMismatch, Square, WordTable,
+                   recompose)
 
 
 class Unsatisfiable(RuntimeError):
@@ -298,38 +299,59 @@ def _prefix_distinct_ok(grids: list[Grid], order: int,
     return max(Counter(keys).values()) <= budget
 
 
-def _reverify(square: Square, spec: SearchSpec) -> None:
-    # emitted squares are re-verified, not assumed correct by construction
+def _reverify(values: list[list[int]], spec: SearchSpec) -> None:
+    """Check a generated square's cell values against every line spec asks.
+
+    ``values[i][j]`` is the exact value of cell (i, j), as the stream's
+    word table hands it. All 2n+2 lines must sum to S1; with
+    ``pandiagonal``, every broken diagonal too; with ``bimagic``, every
+    line must also have squared sum S2 and every aligned 3x3 block sum S1.
+    ``distinct`` and ``bimagic`` need n*n different values, which for cells
+    of one width are n*n different cells, and ``palindromic`` needs every
+    value, written with ``spec.width`` digits, to read the same reversed.
+    Emitted squares are re-verified, not assumed correct by construction.
+    """
+    n, s1 = spec.order, spec.s1
+    lines = [*values, *zip(*values),
+             [row[i] for i, row in enumerate(values)],
+             [row[~i] for i, row in enumerate(values)]]
     if spec.bimagic:
-        if verify.check_bimagic(square) != (spec.s1, _BIMAGIC_S2):
+        if (set(map(sum, lines)) != {s1}
+                or {sum(v * v for v in ln) for ln in lines} != {_BIMAGIC_S2}):
             raise AssertionError(f"generated square is not bimagic with "
-                                 f"S1={spec.s1}, S2={_BIMAGIC_S2}")
-        if verify.check_blocks(square, 3) != spec.s1:
+                                 f"S1={s1}, S2={_BIMAGIC_S2}")
+        if {sum(v for row in values[bi:bi + 3] for v in row[bj:bj + 3])
+                for bi in range(0, n, 3) for bj in range(0, n, 3)} != {s1}:
             raise AssertionError(f"generated square has 3x3 blocks not "
-                                 f"summing to {spec.s1}")
-    elif verify.check_magic(square) != spec.s1:
-        raise AssertionError(f"generated square is not magic with S1={spec.s1}")
-    if spec.pandiagonal and not verify.check_pandiagonal(square):
+                                 f"summing to {s1}")
+    elif set(map(sum, lines)) != {s1}:
+        raise AssertionError(f"generated square is not magic with S1={s1}")
+    if spec.pandiagonal and {
+            sum(row[(k + sign * i) % n] for i, row in enumerate(values))
+            for k in range(n) for sign in (1, -1)} != {s1}:
         raise AssertionError("generated square is not pandiagonal")
-    if spec.distinct or spec.bimagic:
-        entries = square.entries()
-        if len(set(entries)) != len(entries):
-            raise AssertionError("generated square has repeated cells")
-    if spec.palindromic and not all(c.is_palindrome()
-                                    for row in square.cells for c in row):
-        raise AssertionError("generated square has non-palindromic cells")
+    if ((spec.distinct or spec.bimagic)
+            and len({v for row in values for v in row}) != n * n):
+        raise AssertionError("generated square has repeated cells")
+    if spec.palindromic:
+        texts = [f"{v:0{spec.width}}" for row in values for v in row]
+        if any(t != t[::-1] for t in texts):
+            raise AssertionError("generated square has non-palindromic cells")
 
 
-def gen_square(spec: SearchSpec) -> Iterator[Square]:
+def gen_square(spec: SearchSpec,
+               on_budget: Callable[[int], None] | None = None
+               ) -> Iterator[Square]:
     """Squares matching the spec, built as a product of layer streams.
 
     Provably empty requests raise Unsatisfiable immediately; a search that
     finishes without a single square raises it at the end. If the time
     budget runs out before the first square, BudgetExhausted is raised;
-    after the first, the stream simply ends early.
+    after the first, the stream ends early and calls ``on_budget(k)``,
+    when given, with the number k of squares it emitted.
     """
     if spec.bimagic:
-        return bimagic_search(spec)
+        return bimagic_search(spec, on_budget)
     n = spec.order
     lo, hi = spec.alphabet.min_digit, spec.alphabet.max_digit
     for p, s in enumerate(spec.line_sums):
@@ -349,23 +371,35 @@ def gen_square(spec: SearchSpec) -> Iterator[Square]:
         if pool < n * n:
             raise Unsatisfiable(
                 f"only {pool} distinct cells are available but {n * n} are needed")
-    return _square_stream(spec, _layer_planes, spec.alphabet)
+    return _square_stream(spec, _layer_planes, spec.alphabet, on_budget)
 
 
 def _square_stream(spec: SearchSpec,
                    plane_source: Callable[[SearchSpec, float | None],
                                           Iterator[tuple[Grid, ...]]],
-                   alphabet: Alphabet) -> Iterator[Square]:
-    # the one emit loop: each plane tuple from plane_source(spec, deadline)
-    # is recomposed, re-verified and counted against the limit
+                   alphabet: Alphabet,
+                   on_budget: Callable[[int], None] | None = None
+                   ) -> Iterator[Square]:
+    """The one emit loop of every search and construction.
+
+    Each plane tuple from ``plane_source(spec, deadline)`` is stacked by
+    ``recompose`` from a word table kept for the life of the stream, so
+    each distinct cell is made and checked against ``alphabet`` once and
+    the square's cells are not checked again. ``_reverify`` then checks
+    the cell values the table hands back, and the square is yielded and
+    counted against the limit.
+    """
     what = "bimagic square" if spec.bimagic else "square"
     deadline = (None if spec.budget_ms is None
                 else time.monotonic() + spec.budget_ms / 1000.0)
+    words = WordTable(alphabet)
+    value = words.value.__getitem__
     emitted = 0
     try:
         for planes in plane_source(spec, deadline):
-            square = recompose(planes, alphabet)
-            _reverify(square, spec)
+            square = recompose(planes, words=words)
+            _reverify([[value(c.digits) for c in row] for row in square.cells],
+                      spec)
             yield square
             emitted += 1
             if emitted >= spec.limit:
@@ -374,6 +408,8 @@ def _square_stream(spec: SearchSpec,
         if emitted == 0:
             raise BudgetExhausted(
                 f"no {what} found within {spec.budget_ms} ms") from None
+        if on_budget is not None:
+            on_budget(emitted)
         return
     if emitted == 0:
         raise Unsatisfiable("bimagic family exhausted" if spec.bimagic else
@@ -416,7 +452,9 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
     return rec(0)
 
 
-def bimagic_search(spec: SearchSpec) -> Iterator[Square]:
+def bimagic_search(spec: SearchSpec,
+                   on_budget: Callable[[int], None] | None = None
+                   ) -> Iterator[Square]:
     """Order-9, width-4 bimagic squares over {0, 1, 2}.
 
     A cell's four digits are affine functions (r . (i1, i0, j1, j0) + offset)
@@ -433,7 +471,8 @@ def bimagic_search(spec: SearchSpec) -> Iterator[Square]:
     """
     if (spec.order, spec.width) != (9, 4):
         raise ValueError("bimagic search supports only order 9, width 4")
-    return _square_stream(spec, _bimagic_planes, Alphabet((0, 1, 2)))
+    return _square_stream(spec, _bimagic_planes, Alphabet((0, 1, 2)),
+                          on_budget)
 
 
 def _bimagic_planes(spec: SearchSpec, deadline: float | None

@@ -1,5 +1,6 @@
 """Oracles for the layer search: exhaustive enumeration of width-1 magic
-squares, and the recursive backtracker the one-loop search replaced."""
+squares, and the recursive backtracker the one-loop search replaced; and
+for the CLI's JSON writer, the document as a dict for ``json.dumps``."""
 
 from __future__ import annotations
 
@@ -11,6 +12,15 @@ from typing import Iterator
 from digitsquares import Alphabet, CodeWord, Square, verify
 from digitsquares.core import Grid
 from digitsquares.generate import _DeadlineHit
+
+
+def square_document(square: Square) -> dict:
+    """The JSON document of a square, keys in the order they are written."""
+    out: dict = {"order": square.order, "width": square.width}
+    if square.alphabet is not None:
+        out["alphabet"] = str(square.alphabet)
+    out["rows"] = square.to_strings()
+    return out
 
 
 class OracleTooLarge(ValueError):

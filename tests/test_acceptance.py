@@ -19,8 +19,9 @@ from digitsquares import (Alphabet, CodeWord, MIRROR, ROTATION_180,
                           pythagoras_check, recompose, render_codeword,
                           rotate_codeword, rotate_square, rotate_text,
                           s2_from_multiset)
-from digitsquares.cli import _document, main
+from digitsquares.cli import main
 from digitsquares.generate import _layer_stream, bimagic_search
+from oracle import square_document
 
 
 @contextmanager
@@ -271,7 +272,7 @@ def test_criterion_11_composite_blocks_and_exit_codes(tmp_path, capsys):
 
         # the order-16 composite through the CLI, plus the exit contract
         path = tmp_path / "sixteen.json"
-        path.write_text(json.dumps(_document(sixteen)))
+        path.write_text(json.dumps(square_document(sixteen)))
         code = main(["verify", "--magic", "--blocks", "4", str(path)])
         out, _ = capsys.readouterr()
         assert code == 0

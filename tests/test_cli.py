@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import digitsquares
 from digitsquares import SearchSpec, Square, gen_square, generate, render_square
-from digitsquares.cli import (DocumentError, SquareDocument, _document, main,
-                              parse_document)
+from digitsquares.cli import (DocumentError, SquareDocument, _json_document,
+                              main, parse_document)
+from oracle import square_document
+from test_core import squares
 
 EXT_DOC = {
     "order": 3,
@@ -498,7 +500,7 @@ def test_generate_unsatisfiable_out_leaves_no_file(capsys, tmp_path):
 
 
 def test_generate_writes_squares_as_they_arrive(capsys, monkeypatch):
-    def one_then_fail(spec):
+    def one_then_fail(spec, on_budget=None):
         yield Square.from_strings([["1"]])
         raise RuntimeError("search died after the first square")
 
@@ -517,7 +519,7 @@ def test_generate_streamed_output_matches_whole_dump(capsys, fmt, limit):
             "--limit", limit, "--deterministic", "--format", fmt]
     code, out, _ = run(capsys, *args)
     assert code == 0
-    docs = [_document(sq)
+    docs = [square_document(sq)
             for sq in gen_square(SearchSpec(order=3, width=2, line_sums=(3, 3),
                                             limit=int(limit),
                                             deterministic=True))]
@@ -526,6 +528,84 @@ def test_generate_streamed_output_matches_whole_dump(capsys, fmt, limit):
     else:
         assert out == "\n---\n".join(json.dumps(d, indent=2)
                                       for d in docs) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(squares(range(10), orders=(1, 6), widths=(1, 8)))
+def test_json_writer_matches_json_dumps(square):
+    doc = square_document(square)
+    assert _json_document(square) == json.dumps(doc, indent=2)
+    # inside an array every line sits two spaces deeper
+    assert _json_document(square, "  ") == json.dumps([doc], indent=2)[2:-2]
+
+
+STREAM = ["generate", "--order", "4", "--width", "4", "--line-sum", "4",
+          "--limit", "2000", "--seed", "123456"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (STREAM + ["--format", "json"],
+     "610a5d76a1ea66a615413551799091855f1ebfe1d771a767dd3a5584db521fcd"),
+    (STREAM,
+     "3746b2f65435994bfcb3872628ecb242ffa76a6dcaeb538e6cbe62884d98e3df"),
+    (["transform", "--rotate180"],
+     "3adff4eddb308ba15fcfab564880f1a1a6ca5135b619f3ae19f3600efb58d774"),
+    (["transform", "--mirror"],
+     "b2d61d210dd621819593cbc3e1854edff01e2d4ea0069ca62f8f8f16b79d3413"),
+])
+def test_written_documents_are_pinned(capsys, ext_path, argv, digest):
+    # digests of the output json.dumps wrote before the direct writer
+    if argv[0] == "transform":
+        argv = argv + [ext_path]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class Clock:
+    """A stand-in for generate's clock: time moves only when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_generate_says_when_the_budget_cuts_the_stream(capsys, monkeypatch):
+    clock = Clock()
+    monkeypatch.setattr(generate, "time", clock)
+
+    class Stdout(io.StringIO):
+        # the budget is spent as soon as the first square is written
+        def write(self, text):
+            clock.now = 1e9
+            return super().write(text)
+
+    argv = ["generate", "--order", "4", "--width", "4", "--line-sum", "4",
+            "--seed", "3", "--format", "json"]
+    code, whole, err = run(capsys, *argv, "--limit", "1")
+    assert (code, err) == (0, "")
+    clock.now = 0.0
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(argv + ["--limit", "5", "--budget-ms", "1000"])
+    assert code == 0
+    assert stdout.getvalue() == whole
+    assert capsys.readouterr().err == (
+        "budget of 1000 ms spent after 1 of 5 squares\n")
+
+
+@pytest.mark.parametrize("limit", ["3", "100"])
+def test_generate_is_silent_when_the_budget_is_not_spent(capsys, monkeypatch,
+                                                         limit):
+    # the limit is reached, or the space is exhausted (5 squares), in time
+    monkeypatch.setattr(generate, "time", Clock())
+    code, out, err = run(capsys, "generate", "--order", "3", "--width", "1",
+                         "--line-sum", "3", "--deterministic", "--limit",
+                         limit, "--budget-ms", "1000")
+    assert (code, err) == (0, "")
+    assert out.count("---") == min(int(limit), 5) - 1
 
 
 def test_generate_budget_exhausted_exits_3(capsys):

@@ -13,7 +13,7 @@ from digitsquares import (Alphabet, CodeWord, MIRROR, NonMirrorableDigit,
                           decompose, gen_square, mirror_codeword,
                           mirror_square, palindromic_extend, recompose,
                           rotate_codeword, rotate_square)
-from digitsquares.core import UnmappableDigit
+from digitsquares.core import UnmappableDigit, WordTable
 
 
 def word(text):
@@ -40,6 +40,25 @@ def test_codeword_rejects_junk():
         CodeWord((1, 12))
     with pytest.raises(ValueError):
         CodeWord(())
+
+
+@pytest.mark.parametrize("text", ["", "12a", " 1", "²", "٣"])
+def test_non_digit_strings_are_rejected_once_checked(text):
+    with pytest.raises(ValueError, match=re.escape(
+            f"not a digit string: {text!r}")):
+        CodeWord.from_string(text)
+    with pytest.raises(ValueError, match=re.escape(
+            f"cell (0, 1) must be a digit string, got {text!r}")):
+        Square.from_strings([["1", text], ["2", "3"]])
+
+
+def test_codeword_from_string_is_the_word_of_its_digits():
+    for text in ("0", "0110", "9876543210"):
+        parsed = CodeWord.from_string(text)
+        made = CodeWord(tuple(int(c) for c in text))
+        assert parsed == made and hash(parsed) == hash(made)
+        assert type(parsed.digits[0]) is int
+        assert str(parsed) == text and parsed.value == int(text)
 
 
 def test_codeword_reverse_and_palindromes():
@@ -245,6 +264,44 @@ def test_layer_stack_rejects_bad_shapes():
         recompose((((1, 2), (3,)),))
     with pytest.raises(ValueError):
         recompose((((17,),),))
+
+
+def test_word_table_checks_each_word_once():
+    table = WordTable(Alphabet((0, 1, 2)))
+    word = table[(0, 1, 2)]
+    assert word == CodeWord((0, 1, 2)) and table.value[(0, 1, 2)] == 12
+    assert table[(0, 1, 2)] is word
+    for digits, message in (((0, 3), "digit 3 outside alphabet 012"),
+                            ((1, 12), "not a decimal digit: 12")):
+        with pytest.raises(ValueError, match=message):
+            table[digits]
+        assert digits not in table and digits not in table.value
+
+
+def test_recompose_from_a_word_table_is_recompose(lo_shu):
+    planes = decompose(lo_shu)
+    table = WordTable(lo_shu.alphabet)
+    assert recompose(planes, words=table) == recompose(planes, lo_shu.alphabet)
+    assert recompose(planes, words=table).alphabet == lo_shu.alphabet
+    with pytest.raises(TypeError, match="not both"):
+        recompose(planes, lo_shu.alphabet, words=table)
+    with pytest.raises(ShapeMismatch):
+        recompose([planes[0], ((1,),)], words=table)
+    with pytest.raises(ValueError, match="digit 3 outside alphabet"):
+        recompose((((3, 0, 1),) * 3,), words=table)
+
+
+@pytest.mark.parametrize("digit", [1.0, True])
+def test_recompose_rejects_digits_that_are_not_ints(digit):
+    table = WordTable(Alphabet((0, 1, 2)))
+    assert recompose((((1,),),), words=table).cells == ((word("1"),),)
+    # (digit,) == (1,), so a lookup in the table would find the word of 1
+    for words in (None, table):
+        with pytest.raises(ValueError, match=re.escape(
+                f"not a decimal digit: {digit!r}")):
+            recompose((((digit,),),), words=words)
+    with pytest.raises(ValueError, match="not a decimal digit"):
+        CodeWord((0, digit))
 
 
 def test_palindromic_extend_cells(lo_shu):

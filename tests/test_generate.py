@@ -336,7 +336,8 @@ def test_bimagic_reverify_rejects_a_broken_square():
     row[0], row[1] = row[1], row[0]
     planes[3] = (tuple(row),) + planes[3][1:]
     with pytest.raises(AssertionError, match="not bimagic"):
-        generate._reverify(recompose(planes, A012), spec)
+        generate._reverify([[c.value for c in row]
+                            for row in recompose(planes, A012).cells], spec)
 
 
 def test_compose_blocks(lo_shu):
