@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, TextIO
 
 from . import generate, sevenseg, verify
 from .core import (Alphabet, ShapeMismatch, Square, UnmappableDigit, decompose,
-                   is_digit_string, mirror_square, recompose, rotate_square)
+                   is_digit_string, mirror_square, rotate_square)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -364,7 +364,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         layers.append({
             "place": p,
             "scale": 10 ** (square.width - 1 - p),
-            "line_sum": verify.check_magic(recompose((grid,))),
+            "line_sum": verify._common(map(sum, verify._lines(grid))),
             "rows": [list(row) for row in grid],
         })
     _check_printable((layer["scale"] for layer in layers), square.width)

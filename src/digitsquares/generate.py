@@ -66,9 +66,9 @@ class SearchSpec:
 
     A spec whose searched width plus order**2 passes
     ``sys.getrecursionlimit()`` less ``_CALLER_FRAMES`` is rejected with
-    ValueError. Only the product over digit places nests now, so the rule
-    no longer counts frames; it stays because without it seeded searches
-    of order 32 and up stall.
+    ValueError. No search nests that deep now: the rule is only an upper
+    bound on order**2 plus width, kept until seeded searches can restart.
+    Searches stall below it too; ``budget_ms`` bounds a search's time.
     """
 
     order: int
@@ -117,8 +117,8 @@ class SearchSpec:
         if self.palindromic and self.width % 2 != 0:
             raise ValueError("palindromic cells need an even width")
         if not self.bimagic:
-            # order**2 plus the searched width, against the recursion limit
-            # less 30: seeded searches from order 32 on stall without it
+            # an upper bound on order**2 plus the searched width: the
+            # recursion limit less 30; it keeps no search from stalling
             depth = ((self.width // 2 if self.palindromic else self.width)
                      + self.order ** 2)
             limit = sys.getrecursionlimit()
@@ -287,11 +287,10 @@ def _choices(rng: random.Random, size: int) -> Iterator[int]:
     return filter(size.__gt__, iter(draw, -1))
 
 
-def _prefix_distinct_ok(grids: list[Grid], order: int,
-                        places_left: int, alphabet_size: int) -> bool:
+def _prefix_distinct_ok(grids: list[Grid], places_left: int,
+                        alphabet_size: int) -> bool:
     # cells sharing a digit prefix must still be separable by the remaining
     # places: a group larger than alphabet_size**places_left is hopeless
-    # (order is implied by the grids; the keys are the cells' prefixes)
     keys = list(zip(*[itertools.chain.from_iterable(g) for g in grids]))
     budget = alphabet_size ** places_left
     if budget == 1:
@@ -309,26 +308,22 @@ def _reverify(values: list[list[int]], spec: SearchSpec) -> None:
     ``distinct`` and ``bimagic`` need n*n different values, which for cells
     of one width are n*n different cells, and ``palindromic`` needs every
     value, written with ``spec.width`` digits, to read the same reversed.
-    Emitted squares are re-verified, not assumed correct by construction.
+    The lines, broken diagonals and blocks come from ``verify``'s own
+    enumeration. Emitted squares are re-verified, not trusted.
     """
     n, s1 = spec.order, spec.s1
-    lines = [*values, *zip(*values),
-             [row[i] for i, row in enumerate(values)],
-             [row[~i] for i, row in enumerate(values)]]
+    lines = verify._lines(values)
     if spec.bimagic:
-        if (set(map(sum, lines)) != {s1}
-                or {sum(v * v for v in ln) for ln in lines} != {_BIMAGIC_S2}):
+        if verify._common_sums(lines) != (s1, _BIMAGIC_S2):
             raise AssertionError(f"generated square is not bimagic with "
                                  f"S1={s1}, S2={_BIMAGIC_S2}")
-        if {sum(v for row in values[bi:bi + 3] for v in row[bj:bj + 3])
-                for bi in range(0, n, 3) for bj in range(0, n, 3)} != {s1}:
+        if set(verify._block_sums(values, 3)) != {s1}:
             raise AssertionError(f"generated square has 3x3 blocks not "
                                  f"summing to {s1}")
     elif set(map(sum, lines)) != {s1}:
         raise AssertionError(f"generated square is not magic with S1={s1}")
-    if spec.pandiagonal and {
-            sum(row[(k + sign * i) % n] for i, row in enumerate(values))
-            for k in range(n) for sign in (1, -1)} != {s1}:
+    if (spec.pandiagonal
+            and set(map(sum, verify._broken_diagonals(values))) != {s1}):
         raise AssertionError("generated square is not pandiagonal")
     if ((spec.distinct or spec.bimagic)
             and len({v for row in values for v in row}) != n * n):
@@ -444,7 +439,7 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
                                   rng=rng_for(place), deadline=deadline):
             grids.append(grid)
             if (not spec.distinct
-                    or _prefix_distinct_ok(grids, n, search_width - place - 1,
+                    or _prefix_distinct_ok(grids, search_width - place - 1,
                                            asize)):
                 yield from rec(place + 1)
             grids.pop()

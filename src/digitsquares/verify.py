@@ -47,56 +47,65 @@ class LineSum:
     square_total: int
 
 
-def _line(label: str, cells: Sequence[CodeWord]) -> LineSum:
-    values = [c.value for c in cells]
-    return LineSum(label, sum(values), sum(v * v for v in values))
+def _values(square: Square) -> list[list[int]]:
+    # each cell's exact value, read once
+    return [[c.value for c in row] for row in square.cells]
+
+
+def _lines(values: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    # the rows, the columns, the main and the anti-diagonal of a value matrix
+    return [*values, *zip(*values), [row[i] for i, row in enumerate(values)],
+            [row[~i] for i, row in enumerate(values)]]
+
+
+def _broken_diagonals(values: Sequence[Sequence[int]]) -> list[list[int]]:
+    # wrap-around diagonals +k and -k interleaved; k = 0 gives the main ones
+    n = len(values)
+    return [[row[(k + sign * i) % n] for i, row in enumerate(values)]
+            for k in range(n) for sign in (1, -1)]
+
+
+def _block_sums(values: Sequence[Sequence[int]], k: int) -> list[int]:
+    n = len(values)
+    if k < 1 or k > n or n % k != 0:
+        raise BadBlockSize(f"block size {k} does not tile a square of order {n}")
+    return [sum(v for row in values[bi:bi + k] for v in row[bj:bj + k])
+            for bi in range(0, n, k) for bj in range(0, n, k)]
+
+
+def _common(totals: Iterable[int]) -> int | None:
+    # the one total all lines share, None where they differ
+    seen = set(totals)
+    return seen.pop() if len(seen) == 1 else None
+
+
+def _common_sums(lines: list) -> tuple[int | None, int | None]:
+    # the sum and the sum of squares shared by all lines
+    return (_common(map(sum, lines)),
+            _common(sum(v * v for v in ln) for ln in lines))
+
+
+def _line_sums(values: Sequence[Sequence[int]]) -> list[LineSum]:
+    n = len(values)
+    labels = [*(f"row {i}" for i in range(n)), *(f"col {j}" for j in range(n)),
+              "diag main", "diag anti"]
+    return [LineSum(label, sum(ln), sum(v * v for v in ln))
+            for label, ln in zip(labels, _lines(values))]
 
 
 def line_sums(square: Square) -> list[LineSum]:
     """Sums over the n rows, n columns and both main diagonals, in that order."""
-    n = square.order
-    out = [_line(f"row {i}", square.cells[i]) for i in range(n)]
-    out += [_line(f"col {j}", [square.cells[i][j] for i in range(n)])
-            for j in range(n)]
-    out.append(_line("diag main", [square.cells[i][i] for i in range(n)]))
-    out.append(_line("diag anti", [square.cells[i][n - 1 - i] for i in range(n)]))
-    return out
-
-
-def _broken_diagonals(square: Square) -> list[LineSum]:
-    # wrap-around diagonals; offsets 0 reproduce the two main diagonals
-    n = square.order
-    out = []
-    for k in range(n):
-        out.append(_line(f"broken+{k}",
-                         [square.cells[i][(i + k) % n] for i in range(n)]))
-        out.append(_line(f"broken-{k}",
-                         [square.cells[i][(k - i) % n] for i in range(n)]))
-    return out
-
-
-def _common_sums(lines: Sequence[LineSum]) -> tuple[int | None, int | None]:
-    # the sum and the sum of squares shared by all lines, None where they differ
-    totals = {ln.total for ln in lines}
-    square_totals = {ln.square_total for ln in lines}
-    return (totals.pop() if len(totals) == 1 else None,
-            square_totals.pop() if len(square_totals) == 1 else None)
-
-
-def _diagonals_match(broken: Sequence[LineSum], s1: int,
-                     s2: int | None = None) -> bool:
-    return all(ln.total == s1 and (s2 is None or ln.square_total == s2)
-               for ln in broken)
+    return _line_sums(_values(square))
 
 
 def check_magic(square: Square) -> int | None:
     """The common line sum if all 2n+2 lines agree, else None."""
-    return _common_sums(line_sums(square))[0]
+    return _common(map(sum, _lines(_values(square))))
 
 
 def check_bimagic(square: Square) -> tuple[int, int] | None:
     """(S1, S2) if all lines agree on both the sum and the sum of squares."""
-    s1, s2 = _common_sums(line_sums(square))
+    s1, s2 = _common_sums(_lines(_values(square)))
     return None if s1 is None or s2 is None else (s1, s2)
 
 
@@ -108,24 +117,17 @@ def check_pandiagonal(square: Square, bimagic: bool = False) -> bool:
     squared sums of the broken diagonals must match S2 as well, and the
     square itself must be bimagic to begin with.
     """
-    s1, s2 = _common_sums(line_sums(square))
+    values = _values(square)
+    s1, s2 = _common_sums(_lines(values))
     if s1 is None or (bimagic and s2 is None):
         raise InvalidState(f"square is not {'bimagic' if bimagic else 'magic'}")
-    return _diagonals_match(_broken_diagonals(square), s1,
-                            s2 if bimagic else None)
+    b1, b2 = _common_sums(_broken_diagonals(values))
+    return b1 == s1 and (not bimagic or b2 == s2)
 
 
 def check_blocks(square: Square, k: int) -> int | None:
     """The common sum of all aligned k x k blocks, or None if they differ."""
-    n = square.order
-    if k < 1 or k > n or n % k != 0:
-        raise BadBlockSize(f"block size {k} does not tile a square of order {n}")
-    sums = set()
-    for bi in range(0, n, k):
-        for bj in range(0, n, k):
-            sums.add(sum(square.cells[bi + di][bj + dj].value
-                         for di in range(k) for dj in range(k)))
-    return sums.pop() if len(sums) == 1 else None
+    return _common(_block_sums(_values(square), k))
 
 
 @dataclass(frozen=True)
@@ -138,11 +140,12 @@ class EntryProperties:
 
 
 def entry_properties(square: Square) -> EntryProperties:
-    entries = square.entries()
-    palindromic = all(c.is_palindrome() for c in entries)
-    distinct = len(set(entries)) == len(entries)
+    counts = Counter(square.entries())
+    palindromic = all(c.is_palindrome() for c in counts)
+    distinct = len(counts) == square.order ** 2
+    # a half turn undoes itself, so each word must be as common as its image
     try:
-        closed = Counter(map(rotate_codeword, entries)) == Counter(entries)
+        closed = all(counts[rotate_codeword(w)] == k for w, k in counts.items())
     except NonRotatableDigit:
         closed = False
     return EntryProperties(palindromic, distinct, closed)
@@ -224,12 +227,14 @@ class PropertyReport:
 def report(square: Square) -> PropertyReport:
     """Run every check that applies and collect the results."""
     n = square.order
-    lines = tuple(line_sums(square))
-    s1, s2 = _common_sums(lines)
+    values = _values(square)
+    lines = tuple(_line_sums(values))
+    s1 = _common(ln.total for ln in lines)
+    s2 = _common(ln.square_total for ln in lines)
     magic = s1 is not None
     bimagic = magic and s2 is not None
-    broken = _broken_diagonals(square) if magic else []
-    blocks = tuple((k, check_blocks(square, k))
+    b1, b2 = _common_sums(_broken_diagonals(values)) if magic else (None, None)
+    blocks = tuple((k, _common(_block_sums(values, k)))
                    for k in range(2, n + 1) if n % k == 0)
     return PropertyReport(
         order=n,
@@ -238,8 +243,8 @@ def report(square: Square) -> PropertyReport:
         s2=s2 if bimagic else None,
         magic=magic,
         bimagic=bimagic,
-        pandiagonal=magic and _diagonals_match(broken, s1),
-        pandiagonal_bimagic=bimagic and _diagonals_match(broken, s1, s2),
+        pandiagonal=magic and b1 == s1,
+        pandiagonal_bimagic=bimagic and b1 == s1 and b2 == s2,
         blocks=blocks,
         entries=entry_properties(square),
         lines=lines,

@@ -1,17 +1,22 @@
 """Oracles for the layer search: exhaustive enumeration of width-1 magic
-squares, and the recursive backtracker the one-loop search replaced; and
-for the CLI's JSON writer, the document as a dict for ``json.dumps``."""
+squares, and the recursive backtracker the one-loop search replaced; for
+the CLI's JSON writer, the document as a dict for ``json.dumps``; and for
+the checks of ``verify``, their line geometry on code words as it was
+before every check ran on one enumeration of plain-int lines."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import time
-from typing import Iterator
+from collections import Counter
+from typing import Iterator, Sequence
 
 from digitsquares import Alphabet, CodeWord, Square, verify
-from digitsquares.core import Grid
+from digitsquares.core import Grid, NonRotatableDigit, rotate_codeword
 from digitsquares.generate import _DeadlineHit
+from digitsquares.verify import (BadBlockSize, EntryProperties, InvalidState,
+                                 LineSum, PropertyReport)
 
 
 def square_document(square: Square) -> dict:
@@ -120,3 +125,125 @@ def recursive_layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                 minus[km] -= d
 
     yield from fill(0)
+
+
+# The checks of verify as they were on code words, kept as written: each
+# walks its own cells and reads every cell's value per line, sharing no line
+# enumeration with the package.
+def _line(label: str, cells: Sequence[CodeWord]) -> LineSum:
+    values = [c.value for c in cells]
+    return LineSum(label, sum(values), sum(v * v for v in values))
+
+
+def line_sums(square: Square) -> list[LineSum]:
+    """Sums over the n rows, n columns and both main diagonals, in that order."""
+    n = square.order
+    out = [_line(f"row {i}", square.cells[i]) for i in range(n)]
+    out += [_line(f"col {j}", [square.cells[i][j] for i in range(n)])
+            for j in range(n)]
+    out.append(_line("diag main", [square.cells[i][i] for i in range(n)]))
+    out.append(_line("diag anti", [square.cells[i][n - 1 - i] for i in range(n)]))
+    return out
+
+
+def _broken_diagonals(square: Square) -> list[LineSum]:
+    # wrap-around diagonals; offsets 0 reproduce the two main diagonals
+    n = square.order
+    out = []
+    for k in range(n):
+        out.append(_line(f"broken+{k}",
+                         [square.cells[i][(i + k) % n] for i in range(n)]))
+        out.append(_line(f"broken-{k}",
+                         [square.cells[i][(k - i) % n] for i in range(n)]))
+    return out
+
+
+def _common_sums(lines: Sequence[LineSum]) -> tuple[int | None, int | None]:
+    # the sum and the sum of squares shared by all lines, None where they differ
+    totals = {ln.total for ln in lines}
+    square_totals = {ln.square_total for ln in lines}
+    return (totals.pop() if len(totals) == 1 else None,
+            square_totals.pop() if len(square_totals) == 1 else None)
+
+
+def _diagonals_match(broken: Sequence[LineSum], s1: int,
+                     s2: int | None = None) -> bool:
+    return all(ln.total == s1 and (s2 is None or ln.square_total == s2)
+               for ln in broken)
+
+
+def check_magic(square: Square) -> int | None:
+    """The common line sum if all 2n+2 lines agree, else None."""
+    return _common_sums(line_sums(square))[0]
+
+
+def check_bimagic(square: Square) -> tuple[int, int] | None:
+    """(S1, S2) if all lines agree on both the sum and the sum of squares."""
+    s1, s2 = _common_sums(line_sums(square))
+    return None if s1 is None or s2 is None else (s1, s2)
+
+
+def check_pandiagonal(square: Square, bimagic: bool = False) -> bool:
+    """Whether every wrap-around diagonal matches the square's line sums.
+
+    Pandiagonality is defined relative to S1, so a square that is not magic
+    has no answer here: that raises InvalidState. With ``bimagic=True`` the
+    squared sums of the broken diagonals must match S2 as well, and the
+    square itself must be bimagic to begin with.
+    """
+    s1, s2 = _common_sums(line_sums(square))
+    if s1 is None or (bimagic and s2 is None):
+        raise InvalidState(f"square is not {'bimagic' if bimagic else 'magic'}")
+    return _diagonals_match(_broken_diagonals(square), s1,
+                            s2 if bimagic else None)
+
+
+def check_blocks(square: Square, k: int) -> int | None:
+    """The common sum of all aligned k x k blocks, or None if they differ."""
+    n = square.order
+    if k < 1 or k > n or n % k != 0:
+        raise BadBlockSize(f"block size {k} does not tile a square of order {n}")
+    sums = set()
+    for bi in range(0, n, k):
+        for bj in range(0, n, k):
+            sums.add(sum(square.cells[bi + di][bj + dj].value
+                         for di in range(k) for dj in range(k)))
+    return sums.pop() if len(sums) == 1 else None
+
+
+
+
+def entry_properties(square: Square) -> EntryProperties:
+    entries = square.entries()
+    palindromic = all(c.is_palindrome() for c in entries)
+    distinct = len(set(entries)) == len(entries)
+    try:
+        closed = Counter(map(rotate_codeword, entries)) == Counter(entries)
+    except NonRotatableDigit:
+        closed = False
+    return EntryProperties(palindromic, distinct, closed)
+
+
+def report(square: Square) -> PropertyReport:
+    """Run every check that applies and collect the results."""
+    n = square.order
+    lines = tuple(line_sums(square))
+    s1, s2 = _common_sums(lines)
+    magic = s1 is not None
+    bimagic = magic and s2 is not None
+    broken = _broken_diagonals(square) if magic else []
+    blocks = tuple((k, check_blocks(square, k))
+                   for k in range(2, n + 1) if n % k == 0)
+    return PropertyReport(
+        order=n,
+        width=square.width,
+        s1=s1,
+        s2=s2 if bimagic else None,
+        magic=magic,
+        bimagic=bimagic,
+        pandiagonal=magic and _diagonals_match(broken, s1),
+        pandiagonal_bimagic=bimagic and _diagonals_match(broken, s1, s2),
+        blocks=blocks,
+        entries=entry_properties(square),
+        lines=lines,
+    )

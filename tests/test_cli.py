@@ -15,7 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitsquares
-from digitsquares import SearchSpec, Square, gen_square, generate, render_square
+import oracle
+from digitsquares import (SearchSpec, Square, decompose, gen_square, generate,
+                          recompose, render_square)
 from digitsquares.cli import (DocumentError, SquareDocument, _json_document,
                               main, parse_document)
 from oracle import square_document
@@ -815,6 +817,77 @@ def test_decompose_json(capsys, ext_path):
     assert payload["layers"][0]["line_sum"] == 3
     # outer planes mirror the inner ones on palindromic squares
     assert payload["layers"][0]["rows"] == payload["layers"][3]["rows"]
+
+
+# layer 1 of this square is not magic: its last cell is 0, not 2
+SKEWED_DOC = {"order": 3, "width": 2,
+              "rows": [["10", "22", "01"], ["02", "11", "20"],
+                       ["21", "00", "10"]]}
+# every row and column of both layers sums to 3; layer 0's anti-diagonal
+# and layer 1's main diagonal sum to 6
+DIAGONAL_DOC = {"order": 3, "width": 2,
+                "rows": [["02", "11", "20"], ["10", "22", "01"],
+                         ["21", "00", "12"]]}
+
+
+@pytest.mark.parametrize("doc,fmt,digest", [
+    (EXT_DOC, "text",
+     "0ceaab25609e1c10da7618b0e8a52ec45ba73993a11e0dc588d63c04ffa9267b"),
+    (EXT_DOC, "json",
+     "68d4083a73b1fc6b7a39e58a76922f28a85dc79d4de3720dbe2a5be2b22a8e27"),
+    (SKEWED_DOC, "text",
+     "cbd3555fcde387ef71e6dc45accbabbb9a003357801b20fef8184ddde5b7509c"),
+    (SKEWED_DOC, "json",
+     "38030e1d43ce725514e37618c501b8b07c812929d681c48e61b81f37207c16b5"),
+    (DIAGONAL_DOC, "text",
+     "5a270551fadc1f9099bce3abf2c252b9a95590b0ff4ec454a0ceb071f58f30fc"),
+    (DIAGONAL_DOC, "json",
+     "b966ae193852e2d33df29ae389f913cd083acda674f6ad36589909fef8946d1b"),
+], ids=["magic-text", "magic-json", "skewed-text", "skewed-json",
+        "diagonal-text", "diagonal-json"])
+def test_decompose_output_is_pinned(capsys, monkeypatch, doc, fmt, digest):
+    # digests of the output when each layer's line sum came from
+    # check_magic on a width-1 Square
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "decompose", "--format", fmt, "-")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if doc is SKEWED_DOC:
+        assert ("line sum -" in out) if fmt == "text" else (
+            [layer["line_sum"] for layer in json.loads(out)["layers"]]
+            == [3, None])
+
+
+def code_word_decompose(square, fmt):
+    """What decompose wrote when each layer was checked as a Square of
+    code words by the oracle's check_magic."""
+    layers = [{"place": p, "scale": 10 ** (square.width - 1 - p),
+               "line_sum": oracle.check_magic(recompose((grid,))),
+               "rows": [list(row) for row in grid]}
+              for p, grid in enumerate(decompose(square))]
+    if fmt == "json":
+        return json.dumps({"order": square.order, "width": square.width,
+                           "layers": layers}, indent=2) + "\n"
+    out = ""
+    for entry in layers:
+        common = entry["line_sum"]
+        out += (f"layer {entry['place']}: scale {entry['scale']}, "
+                f"line sum {common if common is not None else '-'}\n")
+        out += "".join("  " + " ".join(map(str, row)) + "\n"
+                       for row in entry["rows"])
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(squares((0, 1, 2), orders=(1, 5), widths=(1, 4)),
+       st.sampled_from(["text", "json"]))
+def test_decompose_matches_the_code_word_line_sums(square, fmt):
+    out = io.StringIO()
+    text = json.dumps(square_document(square))
+    with (mock.patch("sys.stdin", io.StringIO(text)),
+          contextlib.redirect_stdout(out)):
+        assert main(["decompose", "--format", fmt, "-"]) == 0
+    assert out.getvalue() == code_word_decompose(square, fmt)
 
 
 def test_cli_requires_a_subcommand():

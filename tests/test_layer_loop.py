@@ -107,8 +107,9 @@ def test_bimagic_sampler_draws_as_random_choice(seed):
     assert planes == choice_bimagic_planes(seed, 3)
 
 
-def plain_prefix_distinct_ok(grids, order, places_left, alphabet_size):
+def plain_prefix_distinct_ok(grids, places_left, alphabet_size):
     """A group of cells sharing a prefix fits the places left, cell by cell."""
+    order = len(grids[0])
     budget = alphabet_size ** places_left
     groups = {}
     for i in range(order):
@@ -129,8 +130,6 @@ PREFIXES = st.integers(1, 5).flatmap(lambda n: st.tuples(
 @given(PREFIXES, st.integers(0, 3), st.integers(1, 3))
 def test_prefix_distinct_check_matches_plain_loop(prefix, places_left,
                                                   alphabet_size):
-    order, grids = prefix
-    assert (generate._prefix_distinct_ok(grids, order, places_left,
-                                         alphabet_size)
-            == plain_prefix_distinct_ok(grids, order, places_left,
-                                        alphabet_size))
+    _, grids = prefix
+    assert (generate._prefix_distinct_ok(grids, places_left, alphabet_size)
+            == plain_prefix_distinct_ok(grids, places_left, alphabet_size))

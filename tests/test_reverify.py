@@ -5,6 +5,14 @@ stacks the planes from its word table and re-verifies the cell values on
 plain ints. The oracle stacks the same planes with the public `recompose`
 and asks `verify.check_*` the same questions. Both must accept the planes
 the sources make and reject the same corrupted ones.
+
+Both sides take their rows, columns, diagonals, broken diagonals and 3x3
+blocks from the one line enumeration in `verify`, which
+`tests/test_verify_oracle.py` holds to the code-word checks in
+`tests/oracle.py`. What this file still checks on its own is the rest of
+the emit loop: the cell values the word table hands to `_reverify`, and
+the mapping from a spec to its checks (which lines, sums, blocks and cell
+properties `pandiagonal`, `distinct`, `palindromic` and `bimagic` ask for).
 """
 
 import itertools
@@ -154,3 +162,19 @@ def test_both_reject_3x3_blocks_off_s1_under_bimagic():
         with pytest.raises(AssertionError, match="3x3 blocks"):
             list(generate._square_stream(
                 spec, lambda spec, deadline: [moved], spec.alphabet))
+
+
+# order-5 layers g((a i + b j) mod 5), magic with sum 5: with (a, b) = (1, 1)
+# every +k broken diagonal meets each residue once and every -k one a
+# single residue, and the other way round with (1, 4)
+@pytest.mark.parametrize("a, b, g", [(1, 1, (0, 2, 0, 2, 1)),
+                                     (1, 4, (1, 0, 2, 0, 2))])
+def test_both_reject_broken_diagonals_off_s1_in_one_direction(a, b, g):
+    spec = SearchSpec(order=5, width=1, line_sums=(5,), pandiagonal=True)
+    layer = tuple(tuple(g[(a * i + b * j) % 5] for j in range(5))
+                  for i in range(5))
+    assert check_magic(recompose((layer,))) == 5
+    assert not oracle_accepts((layer,), spec)
+    with pytest.raises(AssertionError, match="not pandiagonal"):
+        list(generate._square_stream(
+            spec, lambda spec, deadline: [(layer,)], spec.alphabet))
