@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
 from . import generate, sevenseg, verify
-from .core import (Alphabet, ShapeMismatch, Square, UnmappableDigit, decompose,
-                   is_digit_string, mirror_square, rotate_square)
+from .core import (Alphabet, Grid, ShapeMismatch, Square, UnmappableDigit,
+                   decompose, is_digit_string, mirror_square, rotate_square)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -234,8 +234,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = [(_label(name), getattr(rep, name))
               for name in verify.SUM_PROPERTIES if getattr(args, name)]
     if args.blocks is not None:
-        checks.append((f"blocks {args.blocks}",
-                       verify.check_blocks(square, args.blocks) is not None))
+        # the report holds every block size from 2 to the order that tiles
+        blocks = dict(rep.blocks)
+        common = (blocks[args.blocks] if args.blocks in blocks
+                  else verify.check_blocks(square, args.blocks))
+        checks.append((f"blocks {args.blocks}", common is not None))
     checks += [(_label(name), getattr(rep.entries, name))
                for name in _ENTRY_CHECKS if getattr(args, name)]
     shown = [rep.s1, rep.s2, *(common for _, common in rep.blocks)]
@@ -357,27 +360,42 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _json_layers(order: int, width: int,
+                 layers: list[tuple[int, int | None, Grid]]) -> str:
+    """The decompose document, as ``json.dumps(doc, indent=2)`` writes it.
+
+    The keys are order, width and layers; each layer, given as (scale, line
+    sum or None, grid), has place, scale, line_sum and rows. The text is
+    written directly: its only values are ints and null.
+    """
+    entries = []
+    for p, (scale, line_sum, grid) in enumerate(layers):
+        rows = ",\n        ".join(
+            "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
+            for row in grid)
+        entries.append(
+            f'    {{\n      "place": {p},\n      "scale": {scale},\n'
+            f'      "line_sum": {"null" if line_sum is None else line_sum},\n'
+            f'      "rows": [\n        {rows}\n      ]\n    }}')
+    return (f'{{\n  "order": {order},\n  "width": {width},\n  "layers": [\n'
+            + ",\n".join(entries) + "\n  ]\n}")
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     square = load_document(args.square)
-    layers = []
-    for p, grid in enumerate(decompose(square)):
-        layers.append({
-            "place": p,
-            "scale": 10 ** (square.width - 1 - p),
-            "line_sum": verify._common(map(sum, verify._lines(grid))),
-            "rows": [list(row) for row in grid],
-        })
-    _check_printable((layer["scale"] for layer in layers), square.width)
+    # (scale, common line sum or None, grid) per place
+    layers = [(10 ** (square.width - 1 - p),
+               verify._common(map(sum, verify._lines(grid))), grid)
+              for p, grid in enumerate(decompose(square))]
+    _check_printable((scale for scale, _, _ in layers), square.width)
     if args.format == "json":
-        print(json.dumps({"order": square.order, "width": square.width,
-                          "layers": layers}, indent=2))
+        print(_json_layers(square.order, square.width, layers))
     else:
-        for entry in layers:
-            common = entry["line_sum"]
-            print(f"layer {entry['place']}: scale {entry['scale']}, "
+        for p, (scale, common, grid) in enumerate(layers):
+            print(f"layer {p}: scale {scale}, "
                   f"line sum {common if common is not None else '-'}")
-            for row in entry["rows"]:
-                print("  " + " ".join(str(d) for d in row))
+            for row in grid:
+                print("  " + " ".join(map(str, row)))
     return EXIT_OK
 
 

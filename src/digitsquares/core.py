@@ -16,8 +16,10 @@ relevant map make the transform fail, loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 class UnmappableDigit(ValueError):
@@ -206,6 +208,24 @@ class Square:
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]],
                      alphabet: Alphabet | None = None) -> "Square":
+        """The square of rows of digit strings, each distinct string parsed
+        and checked once.
+
+        A faulty document is read again cell by cell, so the error names the
+        first faulty cell in row-major order, as the Square would.
+        """
+        try:
+            words = _each_word(rows, CodeWord.from_string)
+        except (TypeError, ValueError):
+            # an unhashable cell, or a cell that is not a digit string
+            words = None
+        n = len(rows)
+        if (words and all(len(r) == n for r in rows)
+                and len({w.width for w in words.values()}) == 1
+                and (alphabet is None or all(
+                    d in alphabet for w in words.values() for d in w.digits))):
+            return _unchecked(cls, alphabet=alphabet, cells=tuple(
+                tuple(map(words.__getitem__, r)) for r in rows))
         try:
             cells = tuple(tuple(map(CodeWord.from_string, r)) for r in rows)
         except ValueError:
@@ -275,10 +295,17 @@ def _reflect_square(square: Square, digit_map: Mapping[int, int],
     # a half turn reverses rows and columns, a mirror only the columns
     error = NonRotatableDigit if flip_rows else NonMirrorableDigit
     n = square.order
-    cells = tuple(
-        tuple(_reflect_codeword(square.cells[i][j], digit_map, error, i, j)
-              for j in reversed(range(n)))
-        for i in (reversed(range(n)) if flip_rows else range(n)))
+    try:
+        image = _each_word(square.cells, lambda w: _reflect_codeword(
+            w, digit_map, error), _digits)
+    except UnmappableDigit:
+        # name the first cell in output order whose word has no image
+        for i in (reversed(range(n)) if flip_rows else range(n)):
+            for j in reversed(range(n)):
+                _reflect_codeword(square.cells[i][j], digit_map, error, i, j)
+    rows = square.cells[::-1] if flip_rows else square.cells
+    cells = tuple(tuple(map(image.__getitem__, map(_digits, reversed(row))))
+                  for row in rows)
     alphabet = square.alphabet
     if alphabet is not None:
         # the image square draws from the image alphabet ({0,1,2} mirrors to {0,1,5})
@@ -286,16 +313,17 @@ def _reflect_square(square: Square, digit_map: Mapping[int, int],
             if d not in digit_map:
                 raise error(None, d)
         alphabet = Alphabet(tuple(digit_map[d] for d in alphabet))
-    return Square(cells, alphabet)
+    # a digit map keeps every width and sends the alphabet onto its image,
+    # so the image of a square is one too
+    return _unchecked(Square, cells=cells, alphabet=alphabet)
 
 
 def decompose(square: Square) -> tuple[Grid, ...]:
     """Split a square into its digit planes, most significant place first."""
-    n, w = square.order, square.width
-    return tuple(
-        tuple(tuple(square.cells[i][j].digits[p] for j in range(n))
-              for i in range(n))
-        for p in range(w))
+    # each row's places first, row[p] being place p across the row, then
+    # each place's rows
+    return tuple(zip(*(tuple(zip(*(c.digits for c in row)))
+                       for row in square.cells)))
 
 
 def recompose(planes: Sequence[Grid], alphabet: Alphabet | None = None, *,
@@ -359,6 +387,26 @@ class WordTable(dict):
         self.value[digits] = word.value
         self[digits] = word
         return word
+
+
+def _each_word(rows: Iterable[Iterable[Hashable]], work,
+               key=None) -> dict:
+    """``work`` of each distinct cell of ``rows``, keyed by ``key(cell)``,
+    or by the cell itself when ``key`` is None.
+
+    A square holds few distinct words (at most 81 at width 4 over {0,1,2}),
+    so a pass over its cells does the work once per word and one dict
+    lookup per cell. Code words are keyed by ``_digits``: a digit tuple
+    hashes in C, a dataclass in Python. Raises TypeError for an unhashable
+    key.
+    """
+    cells = list(chain.from_iterable(rows))
+    keys = cells if key is None else map(key, cells)
+    return {k: work(c) for k, c in dict(zip(keys, cells)).items()}
+
+
+#: A code word's digit tuple, its key in ``_each_word``.
+_digits = attrgetter("digits")
 
 
 def _unchecked(cls, **fields):

@@ -23,8 +23,9 @@ rendering of the rotated square.
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterable
 
-from .core import CodeWord, Square
+from .core import CodeWord, Square, _digits, _each_word
 
 
 class MalformedBlock(ValueError):
@@ -63,27 +64,37 @@ def _turn(segments: frozenset[str]) -> frozenset[str]:
     return frozenset("bc") if turned == frozenset("ef") else turned
 
 
-def _layout(bands: list[list[list[tuple[str, str, str]]]]) -> str:
-    """Lay out bands of words of drawn cells: one space between cells, two
-    between words, a blank line between bands, every line right-trimmed."""
+def _word(cells: Iterable[tuple[str, str, str]]) -> tuple[str, str, str]:
+    """The three lines of a word of drawn cells, one space between cells."""
+    return tuple(" ".join(line) for line in zip(*cells))
+
+
+def _layout(bands: list[list[tuple[str, str, str]]]) -> str:
+    """Lay out bands of drawn words: two spaces between words, a blank line
+    between bands, every line right-trimmed."""
     out: list[str] = []
     for band in bands:
         if out:
             out.append("")
-        for r in range(3):
-            out.append("  ".join(" ".join(cell[r] for cell in word)
-                                 for word in band).rstrip())
+        out.extend("  ".join(line).rstrip() for line in zip(*band))
     return "\n".join(out)
+
+
+def _draw_word(word: CodeWord) -> tuple[str, str, str]:
+    return _word(map(_DIGIT_LINES.__getitem__, word.digits))
 
 
 def render_codeword(word: CodeWord) -> str:
     """Three right-trimmed lines of ASCII for one code word."""
-    return _layout([[[_DIGIT_LINES[d] for d in word.digits]]])
+    return _layout([[_draw_word(word)]])
 
 
 def render_square(square: Square) -> str:
-    """The whole square as ASCII, one blank line between square rows."""
-    return _layout([[[_DIGIT_LINES[d] for d in c.digits] for c in row]
+    """The whole square as ASCII, one blank line between square rows.
+
+    Each distinct word is drawn once."""
+    drawn = _each_word(square.cells, _draw_word, _digits)
+    return _layout([list(map(drawn.__getitem__, map(_digits, row)))
                     for row in square.cells])
 
 
@@ -146,7 +157,7 @@ def rotate_text(block: str) -> str:
             band.append(word)
         bands.append(band)
 
-    redrawn = _layout([[[_draw(s) for s in word] for word in band]
+    redrawn = _layout([[_word(map(_draw, word)) for word in band]
                        for band in bands]).split("\n")
     for number, (line, want) in enumerate(zip(lines, redrawn), 1):
         want = want.ljust(width)
@@ -159,6 +170,6 @@ def rotate_text(block: str) -> str:
     turned = []
     for band in reversed(bands):
         cells = [_turn(s) for word in reversed(band) for s in reversed(word)]
-        turned.append([[_draw(s) for s in cells[wi * digits:(wi + 1) * digits]]
+        turned.append([_word(map(_draw, cells[wi * digits:(wi + 1) * digits]))
                        for wi in range(words)])
     return _layout(turned)

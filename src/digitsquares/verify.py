@@ -12,9 +12,11 @@ import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .core import CodeWord, NonRotatableDigit, Square, rotate_codeword
+from .core import (CodeWord, NonRotatableDigit, Square, _digits, _each_word,
+                   rotate_codeword)
 
 
 class InvalidState(ValueError):
@@ -48,8 +50,10 @@ class LineSum:
 
 
 def _values(square: Square) -> list[list[int]]:
-    # each cell's exact value, read once
-    return [[c.value for c in row] for row in square.cells]
+    # each cell's exact value, read once per distinct word
+    value = _each_word(square.cells, attrgetter("value"), _digits)
+    return [list(map(value.__getitem__, map(_digits, row)))
+            for row in square.cells]
 
 
 def _lines(values: Sequence[Sequence[int]]) -> list[Sequence[int]]:
@@ -69,8 +73,9 @@ def _block_sums(values: Sequence[Sequence[int]], k: int) -> list[int]:
     n = len(values)
     if k < 1 or k > n or n % k != 0:
         raise BadBlockSize(f"block size {k} does not tile a square of order {n}")
-    return [sum(v for row in values[bi:bi + k] for v in row[bj:bj + k])
-            for bi in range(0, n, k) for bj in range(0, n, k)]
+    # each row's k-wide chunk sums, then k rows of chunks per block row
+    chunks = [[sum(row[j:j + k]) for j in range(0, n, k)] for row in values]
+    return [s for i in range(0, n, k) for s in map(sum, zip(*chunks[i:i + k]))]
 
 
 def _common(totals: Iterable[int]) -> int | None:
@@ -140,12 +145,14 @@ class EntryProperties:
 
 
 def entry_properties(square: Square) -> EntryProperties:
-    counts = Counter(square.entries())
-    palindromic = all(c.is_palindrome() for c in counts)
+    # each distinct word's digits with its count
+    counts = Counter(map(_digits, itertools.chain.from_iterable(square.cells)))
+    palindromic = all(d == d[::-1] for d in counts)
     distinct = len(counts) == square.order ** 2
     # a half turn undoes itself, so each word must be as common as its image
     try:
-        closed = all(counts[rotate_codeword(w)] == k for w, k in counts.items())
+        closed = all(counts[rotate_codeword(CodeWord(d)).digits] == k
+                     for d, k in counts.items())
     except NonRotatableDigit:
         closed = False
     return EntryProperties(palindromic, distinct, closed)

@@ -1,8 +1,10 @@
 """Oracles for the layer search: exhaustive enumeration of width-1 magic
 squares, and the recursive backtracker the one-loop search replaced; for
-the CLI's JSON writer, the document as a dict for ``json.dumps``; and for
+the CLI's JSON writers, the documents as dicts for ``json.dumps``; for
 the checks of ``verify``, their line geometry on code words as it was
-before every check ran on one enumeration of plain-int lines."""
+before every check ran on one enumeration of plain-int lines; and for the
+read path, the reader, transforms and drawing as they were cell by cell,
+before each distinct word was handled once."""
 
 from __future__ import annotations
 
@@ -12,9 +14,12 @@ import time
 from collections import Counter
 from typing import Iterator, Sequence
 
-from digitsquares import Alphabet, CodeWord, Square, verify
-from digitsquares.core import Grid, NonRotatableDigit, rotate_codeword
+from digitsquares import Alphabet, CodeWord, Square, decompose, verify
+from digitsquares.core import (Grid, NonMirrorableDigit, NonRotatableDigit,
+                               _reflect_codeword, is_digit_string,
+                               rotate_codeword)
 from digitsquares.generate import _DeadlineHit
+from digitsquares.sevenseg import _DIGIT_LINES
 from digitsquares.verify import (BadBlockSize, EntryProperties, InvalidState,
                                  LineSum, PropertyReport)
 
@@ -26,6 +31,61 @@ def square_document(square: Square) -> dict:
         out["alphabet"] = str(square.alphabet)
     out["rows"] = square.to_strings()
     return out
+
+
+def decompose_document(square: Square) -> dict:
+    """The decompose command's JSON document, keys in the order they are
+    written."""
+    layers = [{"place": p, "scale": 10 ** (square.width - 1 - p),
+               "line_sum": check_magic(Square(tuple(
+                   tuple(CodeWord((d,)) for d in row) for row in grid))),
+               "rows": [list(row) for row in grid]}
+              for p, grid in enumerate(decompose(square))]
+    return {"order": square.order, "width": square.width, "layers": layers}
+
+
+# The read path as it was cell by cell, kept as written: every cell is
+# parsed, turned or drawn on its own.
+def square_from_strings(rows: Sequence[Sequence[str]],
+                        alphabet: Alphabet | None = None) -> Square:
+    """Square.from_strings as it parsed every cell."""
+    try:
+        cells = tuple(tuple(map(CodeWord.from_string, r)) for r in rows)
+    except ValueError:
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j, c in enumerate(row) if not is_digit_string(c))
+        raise ValueError(f"cell ({i}, {j}) must be a digit string, "
+                         f"got {rows[i][j]!r}") from None
+    return Square(cells, alphabet)
+
+
+def reflect_square(square: Square, digit_map, flip_rows: bool) -> Square:
+    """A half turn (``flip_rows``) or mirror image, turning every cell."""
+    error = NonRotatableDigit if flip_rows else NonMirrorableDigit
+    n = square.order
+    cells = tuple(
+        tuple(_reflect_codeword(square.cells[i][j], digit_map, error, i, j)
+              for j in reversed(range(n)))
+        for i in (reversed(range(n)) if flip_rows else range(n)))
+    alphabet = square.alphabet
+    if alphabet is not None:
+        for d in alphabet:
+            if d not in digit_map:
+                raise error(None, d)
+        alphabet = Alphabet(tuple(digit_map[d] for d in alphabet))
+    return Square(cells, alphabet)
+
+
+def render_square(square: Square) -> str:
+    """The seven-segment drawing, every digit of every cell drawn."""
+    out: list[str] = []
+    for row in square.cells:
+        if out:
+            out.append("")
+        for r in range(3):
+            out.append("  ".join(" ".join(_DIGIT_LINES[d][r] for d in c.digits)
+                                 for c in row).rstrip())
+    return "\n".join(out)
 
 
 class OracleTooLarge(ValueError):
