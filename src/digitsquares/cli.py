@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
-from . import generate, sevenseg, verify
-from .core import (Alphabet, Grid, ShapeMismatch, Square, UnmappableDigit,
-                   decompose, is_digit_string, mirror_square, rotate_square)
+# a call imports only what its subcommand runs: generate, sevenseg, verify,
+# csv and json are imported inside the functions that use them
+from .core import (SUM_PROPERTIES, Alphabet, BadBlockSize, BudgetExhausted,
+                   Grid, InvalidState, ShapeMismatch, Square, Unsatisfiable,
+                   UnmappableDigit, _digits, decompose, is_digit_string,
+                   mirror_square, rotate_square)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -88,14 +89,29 @@ class SquareDocument:
             raise DocumentError(str(exc)) from None
 
 
-def _json_document(square: Square, margin: str = "") -> str:
+class _CellText(dict):
+    """Each code word's text by digit tuple, made on its first lookup.
+
+    One table serves one output (a transform, or a generate stream), so
+    each distinct word is formatted once; it holds at most
+    ``len(alphabet) ** width`` entries, as a WordTable does.
+    """
+
+    def __missing__(self, digits: tuple[int, ...]) -> str:
+        # the text CodeWord.__str__ gives: one %d per digit
+        text = self[digits] = "%d" * len(digits) % digits
+        return text
+
+
+def _json_document(square: Square, text: _CellText, margin: str = "") -> str:
     """The JSON document of a square, as ``json.dumps(doc, indent=2)`` writes it.
 
     The keys are order, width, alphabet (when the square has one) and rows,
-    whose cells are strings. Every line starts with ``margin``, which puts
-    the document inside a JSON array as ``json.dumps`` of the array would.
-    The text is written directly: its only values are ints and strings of
-    ASCII digits, which JSON writes as they stand.
+    whose cells are strings, looked up in ``text``. Every line starts with
+    ``margin``, which puts the document inside a JSON array as
+    ``json.dumps`` of the array would. The text is written directly: its
+    only values are ints and strings of ASCII digits, which JSON writes as
+    they stand.
     """
     nl = "\n" + margin
     head = (f'{margin}{{{nl}  "order": {square.order},'
@@ -104,7 +120,8 @@ def _json_document(square: Square, margin: str = "") -> str:
         head += f'{nl}  "alphabet": "{square.alphabet}",'
     cell = f'",{nl}      "'
     rows = f",{nl}    ".join(
-        f'[{nl}      "{cell.join(map(str, row))}"{nl}    ]'
+        f'[{nl}      "{cell.join(map(text.__getitem__, map(_digits, row)))}"'
+        f'{nl}    ]'
         for row in square.cells)
     return f'{head}{nl}  "rows": [{nl}    {rows}{nl}  ]{nl}}}'
 
@@ -123,6 +140,8 @@ def parse_document(text: str, source: str = "<input>") -> SquareDocument:
     with _naming(source):
         head = text.lstrip()[:1]
         if head == "{":
+            import json
+
             try:
                 obj = json.loads(text)
             except json.JSONDecodeError as exc:
@@ -142,6 +161,8 @@ def parse_document(text: str, source: str = "<input>") -> SquareDocument:
 
 
 def _parse_csv(text: str) -> SquareDocument:
+    import csv
+
     # the header is the first non-blank line, as for choosing the format
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     number, first = lines[0]
@@ -229,10 +250,12 @@ def _check_printable(numbers: Iterable[int | None], width: int) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     square = load_document(args.square)
     rep = verify.report(square)
     checks = [(_label(name), getattr(rep, name))
-              for name in verify.SUM_PROPERTIES if getattr(args, name)]
+              for name in SUM_PROPERTIES if getattr(args, name)]
     if args.blocks is not None:
         # the report holds every block size from 2 to the order that tiles
         blocks = dict(rep.blocks)
@@ -247,6 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_printable(shown, square.width)
 
     if args.format == "json":
+        import json
+
         payload = rep.as_dict()
         if checks:
             payload["checks"] = [{"name": name, "ok": ok} for name, ok in checks]
@@ -256,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"width: {rep.width}")
         print(f"s1: {rep.s1 if rep.s1 is not None else '-'}")
         print(f"s2: {rep.s2 if rep.s2 is not None else '-'}")
-        for name in verify.SUM_PROPERTIES:
+        for name in SUM_PROPERTIES:
             print(f"{_label(name)}: {_yesno(getattr(rep, name))}")
         for k, common in rep.blocks:
             print(f"block {k}: {common if common is not None else 'none'}")
@@ -298,6 +323,8 @@ def _parse_line_sums(raw: str, width: int) -> tuple[int, ...]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from . import generate
+
     try:
         alphabet = Alphabet.from_string(args.alphabet)
         line_sums = None
@@ -334,10 +361,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     margin, head, sep, tail = (("  ", "[\n", ",\n", "\n]\n")
                                if args.format == "json"
                                else ("", "", "\n---\n", "\n"))
+    text = _CellText()
     with _output(args.out) as out:
-        out.write(head + _json_document(first, margin))
+        out.write(head + _json_document(first, text, margin))
         for square in squares:
-            out.write(sep + _json_document(square, margin))
+            out.write(sep + _json_document(square, text, margin))
         out.write(tail)
     return EXIT_OK
 
@@ -346,11 +374,13 @@ def cmd_transform(args: argparse.Namespace) -> int:
     square = load_document(args.square)
     result = rotate_square(square) if args.rotate180 else mirror_square(square)
     with _output(args.out) as out:
-        out.write(_json_document(result) + "\n")
+        out.write(_json_document(result, _CellText()) + "\n")
     return EXIT_OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import sevenseg
+
     square = load_document(args.square)
     art = sevenseg.render_square(square)
     if args.compact:
@@ -382,6 +412,8 @@ def _json_layers(order: int, width: int,
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from . import verify
+
     square = load_document(args.square)
     # (scale, common line sum or None, grid) per place
     layers = [(10 ** (square.width - 1 - p),
@@ -408,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="report and check properties of a square")
     p.add_argument("square", help="path to a JSON or CSV document, or -")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    for name in verify.SUM_PROPERTIES:
+    for name in SUM_PROPERTIES:
         p.add_argument(f"--{_label(name)}", action="store_true")
     p.add_argument("--blocks", type=_integer, metavar="K",
                    help="require all aligned KxK blocks to share one sum")
@@ -466,14 +498,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, ShapeMismatch, verify.InvalidState,
-            verify.BadBlockSize, OSError) as exc:
+    except (DocumentError, ShapeMismatch, InvalidState, BadBlockSize,
+            OSError) as exc:
         failure, code = f"error: {exc}", EXIT_USAGE
     except UnmappableDigit as exc:
         failure, code = f"cannot transform: {exc}", EXIT_PROPERTY
-    except generate.Unsatisfiable as exc:
+    except Unsatisfiable as exc:
         failure, code = f"no squares: {exc}", EXIT_SEARCH
-    except generate.BudgetExhausted as exc:
+    except BudgetExhausted as exc:
         failure, code = f"out of budget: {exc}", EXIT_SEARCH
     print(failure, file=sys.stderr)
     return code

@@ -64,6 +64,26 @@ class ShapeMismatch(ValueError):
     """Planes, cells or blocks whose dimensions do not agree."""
 
 
+class InvalidState(ValueError):
+    """A check was asked of a square that lacks its prerequisite property."""
+
+
+class BadBlockSize(ValueError):
+    """Block size must divide the order and lie between 1 and the order."""
+
+
+class Unsatisfiable(RuntimeError):
+    """The requested squares provably do not exist, or the search space is spent."""
+
+
+class BudgetExhausted(RuntimeError):
+    """The time budget ran out before the first square was found."""
+
+
+# the yes/no properties of a square's line sums, PropertyReport fields in order
+SUM_PROPERTIES = ("magic", "bimagic", "pandiagonal", "pandiagonal_bimagic")
+
+
 #: A digit plane: ``plane[i][j]`` is the digit at one place of cell (i, j).
 Grid = tuple[tuple[int, ...], ...]
 

@@ -28,16 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import verify
-from .core import (Alphabet, CodeWord, Grid, ShapeMismatch, Square, WordTable,
-                   recompose)
-
-
-class Unsatisfiable(RuntimeError):
-    """The requested squares provably do not exist, or the search space is spent."""
-
-
-class BudgetExhausted(RuntimeError):
-    """The time budget ran out before the first square was found."""
+from .core import (Alphabet, BudgetExhausted, CodeWord, Grid, ShapeMismatch,
+                   Square, Unsatisfiable, WordTable, recompose)
 
 
 # frames kept free for the caller of a search and the search's own fixed

@@ -11,26 +11,21 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .core import (CodeWord, NonRotatableDigit, Square, _digits, _each_word,
+from .core import (SUM_PROPERTIES, BadBlockSize, CodeWord, InvalidState,
+                   NonRotatableDigit, Square, _digits, _each_word,
                    rotate_codeword)
-
-
-class InvalidState(ValueError):
-    """A check was asked of a square that lacks its prerequisite property."""
-
-
-class BadBlockSize(ValueError):
-    """Block size must divide the order and lie between 1 and the order."""
 
 
 class NotDivisible(ArithmeticError):
     """A derived mean is not an integer; carries the exact rational value."""
 
     def __init__(self, numerator: int, denominator: int):
+        # fractions is imported here, by the only code that needs it
+        from fractions import Fraction
+
         self.numerator = numerator
         self.denominator = denominator
         self.remainder = numerator % denominator
@@ -195,10 +190,6 @@ def s2_from_multiset(entries: Iterable[CodeWord | int], order: int) -> int:
     if total % order != 0:
         raise NotDivisible(total, order)
     return total // order
-
-
-# the yes/no properties of a square's line sums, PropertyReport fields in order
-SUM_PROPERTIES = ("magic", "bimagic", "pandiagonal", "pandiagonal_bimagic")
 
 
 @dataclass(frozen=True)
