@@ -20,11 +20,10 @@ _HOME = {
         "Alphabet", "BadBlockSize", "BudgetExhausted", "CodeWord",
         "InvalidState", "MIRROR", "NonMirrorableDigit", "NonRotatableDigit",
         "ROTATION_180", "ShapeMismatch", "Square", "Unsatisfiable",
-        "decompose", "mirror_codeword", "mirror_square",
+        "compose_blocks", "decompose", "mirror_codeword", "mirror_square",
         "palindromic_extend", "recompose", "rotate_codeword",
         "rotate_square"), "core"),
-    **dict.fromkeys(("SearchSpec", "compose_blocks", "gen_square"),
-                    "generate"),
+    **dict.fromkeys(("SearchSpec", "gen_square"), "generate"),
     **dict.fromkeys(("MalformedBlock", "render_codeword", "render_square",
                      "rotate_text"), "sevenseg"),
     **dict.fromkeys((

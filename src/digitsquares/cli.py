@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, TextIO
 # csv and json are imported inside the functions that use them
 from .core import (SUM_PROPERTIES, Alphabet, BadBlockSize, BudgetExhausted,
                    Grid, InvalidState, ShapeMismatch, Square, Unsatisfiable,
-                   UnmappableDigit, _digits, decompose, is_digit_string,
+                   UnmappableDigit, _word_text, decompose, is_digit_string,
                    mirror_square, rotate_square)
 
 EXIT_OK = 0
@@ -89,26 +89,12 @@ class SquareDocument:
             raise DocumentError(str(exc)) from None
 
 
-class _CellText(dict):
-    """Each code word's text by digit tuple, made on its first lookup.
-
-    One table serves one output (a transform, or a generate stream), so
-    each distinct word is formatted once; it holds at most
-    ``len(alphabet) ** width`` entries, as a WordTable does.
-    """
-
-    def __missing__(self, digits: tuple[int, ...]) -> str:
-        # the text CodeWord.__str__ gives: one %d per digit
-        text = self[digits] = "%d" * len(digits) % digits
-        return text
-
-
-def _json_document(square: Square, text: _CellText, margin: str = "") -> str:
+def _json_document(square: Square, margin: str = "") -> str:
     """The JSON document of a square, as ``json.dumps(doc, indent=2)`` writes it.
 
     The keys are order, width, alphabet (when the square has one) and rows,
-    whose cells are strings, looked up in ``text``. Every line starts with
-    ``margin``, which puts the document inside a JSON array as
+    whose cells are strings, the text each word keeps. Every line starts
+    with ``margin``, which puts the document inside a JSON array as
     ``json.dumps`` of the array would. The text is written directly: its
     only values are ints and strings of ASCII digits, which JSON writes as
     they stand.
@@ -120,7 +106,7 @@ def _json_document(square: Square, text: _CellText, margin: str = "") -> str:
         head += f'{nl}  "alphabet": "{square.alphabet}",'
     cell = f'",{nl}      "'
     rows = f",{nl}    ".join(
-        f'[{nl}      "{cell.join(map(text.__getitem__, map(_digits, row)))}"'
+        f'[{nl}      "{cell.join(map(_word_text, row))}"'
         f'{nl}    ]'
         for row in square.cells)
     return f'{head}{nl}  "rows": [{nl}    {rows}{nl}  ]{nl}}}'
@@ -361,11 +347,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     margin, head, sep, tail = (("  ", "[\n", ",\n", "\n]\n")
                                if args.format == "json"
                                else ("", "", "\n---\n", "\n"))
-    text = _CellText()
     with _output(args.out) as out:
-        out.write(head + _json_document(first, text, margin))
+        out.write(head + _json_document(first, margin))
         for square in squares:
-            out.write(sep + _json_document(square, text, margin))
+            out.write(sep + _json_document(square, margin))
         out.write(tail)
     return EXIT_OK
 
@@ -374,7 +359,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     square = load_document(args.square)
     result = rotate_square(square) if args.rotate180 else mirror_square(square)
     with _output(args.out) as out:
-        out.write(_json_document(result, _CellText()) + "\n")
+        out.write(_json_document(result) + "\n")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ relevant map make the transform fail, loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
@@ -151,7 +152,11 @@ class Alphabet:
 
 @dataclass(frozen=True, order=True)
 class CodeWord:
-    """A fixed-width digit string. Width is part of the identity."""
+    """A fixed-width digit string. Width is part of the identity.
+
+    Its value and text are worked out on first use and kept on the word,
+    outside the fields that equality, hashing, order and repr see.
+    """
 
     digits: tuple[int, ...]
 
@@ -167,10 +172,14 @@ class CodeWord:
     def from_string(cls, text: str) -> "CodeWord":
         if not is_digit_string(text):
             raise ValueError(f"not a digit string: {text!r}")
-        # ASCII digits leave nothing for __post_init__ to check
-        return _unchecked(cls, digits=tuple(map(int, text)))
+        return cls(tuple(map(int, text)))
 
     def __str__(self) -> str:
+        return self._text
+
+    # cached_property writes __dict__; frozen blocks only __setattr__
+    @cached_property
+    def _text(self) -> str:
         # one %d per digit: the digits are ints 0-9
         return "%d" * len(self.digits) % self.digits
 
@@ -178,7 +187,7 @@ class CodeWord:
     def width(self) -> int:
         return len(self.digits)
 
-    @property
+    @cached_property
     def value(self) -> int:
         # exact: 4-digit words stay below 10**4, Python ints never overflow
         v = 0
@@ -205,7 +214,20 @@ class Square:
     alphabet: Alphabet | None = None
 
     def __post_init__(self):
+        # each distinct word is checked once, and each row's length; only a
+        # faulty square goes through the loop below, which names its first
+        # faulty cell in row-major order
         n = len(self.cells)
+        try:
+            words = set(map(_digits, chain.from_iterable(self.cells)))
+            if (all(len(row) == n for row in self.cells)
+                    and len(set(map(len, words))) == 1
+                    and (self.alphabet is None or all(
+                        d in self.alphabet for w in words for d in w))):
+                return
+        except (AttributeError, TypeError):
+            # a cell that is not a code word: the loop meets it in its place
+            pass
         if n < 1:
             raise ShapeMismatch("square must have at least one row")
         # an empty first row fails its length check before w is compared
@@ -229,31 +251,21 @@ class Square:
     def from_strings(cls, rows: Sequence[Sequence[str]],
                      alphabet: Alphabet | None = None) -> "Square":
         """The square of rows of digit strings, each distinct string parsed
-        and checked once.
+        once; the Square checks the cells.
 
-        A faulty document is read again cell by cell, so the error names the
-        first faulty cell in row-major order, as the Square would.
+        A cell that is not a digit string is named by its place, the first
+        such cell in row-major order.
         """
         try:
             words = _each_word(rows, CodeWord.from_string)
         except (TypeError, ValueError):
             # an unhashable cell, or a cell that is not a digit string
-            words = None
-        n = len(rows)
-        if (words and all(len(r) == n for r in rows)
-                and len({w.width for w in words.values()}) == 1
-                and (alphabet is None or all(
-                    d in alphabet for w in words.values() for d in w.digits))):
-            return _unchecked(cls, alphabet=alphabet, cells=tuple(
-                tuple(map(words.__getitem__, r)) for r in rows))
-        try:
-            cells = tuple(tuple(map(CodeWord.from_string, r)) for r in rows)
-        except ValueError:
             i, j = next((i, j) for i, row in enumerate(rows)
                         for j, c in enumerate(row) if not is_digit_string(c))
             raise ValueError(f"cell ({i}, {j}) must be a digit string, "
                              f"got {rows[i][j]!r}") from None
-        return cls(cells, alphabet)
+        return cls(tuple(tuple(map(words.__getitem__, r)) for r in rows),
+                   alphabet)
 
     @property
     def order(self) -> int:
@@ -356,9 +368,9 @@ def recompose(planes: Sequence[Grid], alphabet: Alphabet | None = None, *,
 
     ``words``, a WordTable, stands in for ``alphabet``: it gives the same
     square as ``recompose(planes, words.alphabet)`` and rejects the same
-    planes. When every entry is a plain int, the cells come from the table,
-    which checked each word when it made it, and the Square does not check
-    them again.
+    planes. When every entry is a plain int, the cells are the table's
+    words, checked once when the table made them and not again by the
+    Square, and each keeps its value and text for the whole stream.
     """
     if words is None:
         return Square(_stack(planes, CodeWord), alphabet)
@@ -383,28 +395,54 @@ def _stack(planes: Sequence[Grid], word) -> tuple[tuple[CodeWord, ...], ...]:
     return tuple(tuple(map(word, zip(*rows))) for rows in zip(*planes))
 
 
+def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:
+    """Tile a grid of equally sized squares into one larger square."""
+    m = len(blocks)
+    if m < 1:
+        raise ShapeMismatch("need at least one block")
+    for bi, brow in enumerate(blocks):
+        if len(brow) != m:
+            raise ShapeMismatch(f"block row {bi} has {len(brow)} blocks, "
+                                f"expected {m}")
+    k = blocks[0][0].order
+    w = blocks[0][0].width
+    for bi, brow in enumerate(blocks):
+        for bj, block in enumerate(brow):
+            if block.order != k:
+                raise ShapeMismatch(f"block ({bi}, {bj}) has order "
+                                    f"{block.order}, expected {k}")
+            if block.width != w:
+                raise ShapeMismatch(f"block ({bi}, {bj}) has width "
+                                    f"{block.width}, expected {w}")
+    n = m * k
+    cells = tuple(
+        tuple(blocks[i // k][j // k].cells[i % k][j % k] for j in range(n))
+        for i in range(n))
+    alphabets = {block.alphabet for brow in blocks for block in brow}
+    alphabet = alphabets.pop() if len(alphabets) == 1 else None
+    return Square(cells, alphabet)
+
+
 class WordTable(dict):
     """Code words over one alphabet by digit tuple, each checked once.
 
     ``table[digits]`` is the CodeWord of a tuple of ints. Its first lookup
     checks the digits as CodeWord does, and each against ``alphabet``, and
-    raises ValueError without making an entry; later lookups are dict hits,
-    and ``table.value[digits]`` is then the word's exact value. A table
-    holds at most ``len(alphabet) ** width`` words and lives as long as the
-    stream of squares it builds.
+    raises ValueError without making an entry; later lookups are dict hits
+    that hand out the same word object. A table holds at most
+    ``len(alphabet) ** width`` words and lives as long as the stream of
+    squares it builds.
     """
 
     def __init__(self, alphabet: Alphabet):
         super().__init__()
         self.alphabet = alphabet
-        self.value: dict[tuple[int, ...], int] = {}
 
     def __missing__(self, digits: tuple[int, ...]) -> CodeWord:
         word = CodeWord(digits)
         for d in digits:
             if d not in self.alphabet:
                 raise ValueError(f"digit {d} outside alphabet {self.alphabet}")
-        self.value[digits] = word.value
         self[digits] = word
         return word
 
@@ -428,10 +466,14 @@ def _each_word(rows: Iterable[Iterable[Hashable]], work,
 #: A code word's digit tuple, its key in ``_each_word``.
 _digits = attrgetter("digits")
 
+#: A code word's text, as ``str`` gives it, read without a call to __str__.
+_word_text = attrgetter("_text")
+
 
 def _unchecked(cls, **fields):
-    # a frozen dataclass instance made without __post_init__, for callers
-    # that have checked everything it would
+    # a frozen dataclass instance made without __post_init__, for the two
+    # squares that are valid by construction: the image of a checked square
+    # under a digit map, and a square stacked from a WordTable's words
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

@@ -25,11 +25,11 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from . import verify
-from .core import (Alphabet, BudgetExhausted, CodeWord, Grid, ShapeMismatch,
-                   Square, Unsatisfiable, WordTable, recompose)
+from .core import (Alphabet, BudgetExhausted, CodeWord, Grid, Square,
+                   Unsatisfiable, WordTable, recompose)
 
 
 # frames kept free for the caller of a search and the search's own fixed
@@ -373,20 +373,18 @@ def _square_stream(spec: SearchSpec,
     ``recompose`` from a word table kept for the life of the stream, so
     each distinct cell is made and checked against ``alphabet`` once and
     the square's cells are not checked again. ``_reverify`` then checks
-    the cell values the table hands back, and the square is yielded and
-    counted against the limit.
+    the cells' values, which each word of the table works out once per
+    stream, and the square is yielded and counted against the limit.
     """
     what = "bimagic square" if spec.bimagic else "square"
     deadline = (None if spec.budget_ms is None
                 else time.monotonic() + spec.budget_ms / 1000.0)
     words = WordTable(alphabet)
-    value = words.value.__getitem__
     emitted = 0
     try:
         for planes in plane_source(spec, deadline):
             square = recompose(planes, words=words)
-            _reverify([[value(c.digits) for c in row] for row in square.cells],
-                      spec)
+            _reverify([[c.value for c in row] for row in square.cells], spec)
             yield square
             emitted += 1
             if emitted >= spec.limit:
@@ -552,32 +550,3 @@ def _affine_planes(matrix: tuple[tuple[int, int, int, int], ...],
                      + off) % 3 for j in range(9))
               for i in range(9))
         for (a, b, c, d), off in zip(matrix, offsets))
-
-
-def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:
-    """Tile a grid of equally sized squares into one larger square."""
-    m = len(blocks)
-    if m < 1:
-        raise ShapeMismatch("need at least one block")
-    for bi, brow in enumerate(blocks):
-        if len(brow) != m:
-            raise ShapeMismatch(f"block row {bi} has {len(brow)} blocks, "
-                                f"expected {m}")
-    k = blocks[0][0].order
-    w = blocks[0][0].width
-    for bi, brow in enumerate(blocks):
-        for bj, block in enumerate(brow):
-            if block.order != k:
-                raise ShapeMismatch(f"block ({bi}, {bj}) has order "
-                                    f"{block.order}, expected {k}")
-            if block.width != w:
-                raise ShapeMismatch(f"block ({bi}, {bj}) has width "
-                                    f"{block.width}, expected {w}")
-    n = m * k
-    cells = tuple(
-        tuple(blocks[i // k][j // k].cells[i % k][j % k] for j in range(n))
-        for i in range(n))
-    alphabets = {block.alphabet for brow in blocks for block in brow}
-    alphabet = alphabets.pop() if len(alphabets) == 1 else None
-    return Square(cells, alphabet)
-

@@ -11,12 +11,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import (SUM_PROPERTIES, BadBlockSize, CodeWord, InvalidState,
-                   NonRotatableDigit, Square, _digits, _each_word,
-                   rotate_codeword)
+                   NonRotatableDigit, Square, _digits, rotate_codeword)
 
 
 class NotDivisible(ArithmeticError):
@@ -45,10 +43,8 @@ class LineSum:
 
 
 def _values(square: Square) -> list[list[int]]:
-    # each cell's exact value, read once per distinct word
-    value = _each_word(square.cells, attrgetter("value"), _digits)
-    return [list(map(value.__getitem__, map(_digits, row)))
-            for row in square.cells]
+    # each cell's exact value, which each word works out once and keeps
+    return [[c.value for c in row] for row in square.cells]
 
 
 def _lines(values: Sequence[Sequence[int]]) -> list[Sequence[int]]:

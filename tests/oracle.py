@@ -4,7 +4,8 @@ the CLI's JSON writers, the documents as dicts for ``json.dumps``; for
 the checks of ``verify``, their line geometry on code words as it was
 before every check ran on one enumeration of plain-int lines; and for the
 read path, the reader, transforms and drawing as they were cell by cell,
-before each distinct word was handled once."""
+before each distinct word was handled once, and the Square's check of
+its cells as it went through them one by one."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from typing import Iterator, Sequence
 
 from digitsquares import Alphabet, CodeWord, Square, decompose, verify
 from digitsquares.core import (Grid, NonMirrorableDigit, NonRotatableDigit,
-                               _reflect_codeword, is_digit_string,
-                               rotate_codeword)
+                               ShapeMismatch, _reflect_codeword,
+                               is_digit_string, rotate_codeword)
 from digitsquares.generate import _DeadlineHit
 from digitsquares.sevenseg import _DIGIT_LINES
 from digitsquares.verify import (BadBlockSize, EntryProperties, InvalidState,
@@ -57,6 +58,30 @@ def square_from_strings(rows: Sequence[Sequence[str]],
         raise ValueError(f"cell ({i}, {j}) must be a digit string, "
                          f"got {rows[i][j]!r}") from None
     return Square(cells, alphabet)
+
+
+def check_square_cells(cells, alphabet: Alphabet | None = None) -> None:
+    """Square.__post_init__ as it checked every cell, on ``cells`` and
+    ``alphabet`` in place of the square's own fields."""
+    n = len(cells)
+    if n < 1:
+        raise ShapeMismatch("square must have at least one row")
+    # an empty first row fails its length check before w is compared
+    w = cells[0][0].width if cells[0] else 0
+    for i, row in enumerate(cells):
+        if len(row) != n:
+            raise ShapeMismatch(
+                f"row {i} has {len(row)} cells, expected {n}")
+        for j, cell in enumerate(row):
+            if cell.width != w:
+                raise ShapeMismatch(
+                    f"cell ({i}, {j}) has width {cell.width}, expected {w}")
+            if alphabet is not None:
+                for d in cell.digits:
+                    if d not in alphabet:
+                        raise ValueError(
+                            f"digit {d} in cell ({i}, {j}) outside "
+                            f"alphabet {alphabet}")
 
 
 def reflect_square(square: Square, digit_map, flip_rows: bool) -> Square:

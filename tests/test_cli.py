@@ -18,8 +18,8 @@ import digitsquares
 import oracle
 from digitsquares import (SearchSpec, Square, decompose, gen_square, generate,
                           recompose, render_square)
-from digitsquares.cli import (DocumentError, SquareDocument, _CellText,
-                              _json_document, main, parse_document)
+from digitsquares.cli import (DocumentError, SquareDocument, _json_document,
+                              main, parse_document)
 from oracle import square_document
 from test_core import squares
 
@@ -536,13 +536,11 @@ def test_generate_streamed_output_matches_whole_dump(capsys, fmt, limit):
 @given(squares(range(10), orders=(1, 6), widths=(1, 8)))
 def test_json_writer_matches_json_dumps(square):
     doc = square_document(square)
-    text = _CellText()
-    assert _json_document(square, text) == json.dumps(doc, indent=2)
+    assert _json_document(square) == json.dumps(doc, indent=2)
     # inside an array every line sits two spaces deeper; the second document
-    # reads every cell's text from the table the first one filled
-    assert (_json_document(square, text, "  ")
+    # reads every cell's text that the first one kept on its word
+    assert (_json_document(square, "  ")
             == json.dumps([doc], indent=2)[2:-2])
-    assert text == {c.digits: str(c) for c in square.entries()}
 
 
 STREAM = ["generate", "--order", "4", "--width", "4", "--line-sum", "4",

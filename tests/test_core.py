@@ -1,5 +1,7 @@
 """Code words, digit maps, squares and the cell-level transforms."""
 
+import dataclasses
+import pickle
 import random
 import re
 
@@ -269,13 +271,40 @@ def test_layer_stack_rejects_bad_shapes():
 def test_word_table_checks_each_word_once():
     table = WordTable(Alphabet((0, 1, 2)))
     word = table[(0, 1, 2)]
-    assert word == CodeWord((0, 1, 2)) and table.value[(0, 1, 2)] == 12
+    assert word == CodeWord((0, 1, 2)) and table[(0, 1, 2)].value == 12
     assert table[(0, 1, 2)] is word
     for digits, message in (((0, 3), "digit 3 outside alphabet 012"),
                             ((1, 12), "not a decimal digit: 12")):
         with pytest.raises(ValueError, match=message):
             table[digits]
-        assert digits not in table and digits not in table.value
+        assert digits not in table
+
+
+def identity(a, b):
+    """What a pair of words are to equality, hashing, order, repr, astuple
+    and pickle, without their value or text."""
+    copy = pickle.loads(pickle.dumps(a))
+    return (a == b, a != b, a < b, a <= b, a > b, hash(a), hash(b), repr(a),
+            dataclasses.astuple(a), copy == a, hash(copy), repr(copy))
+
+
+digit_tuples = st.lists(st.integers(0, 9), min_size=1, max_size=6).map(tuple)
+
+
+@given(digit_tuples, digit_tuples)
+def test_kept_value_and_text_leave_identity_alone(x, y):
+    table = WordTable(Alphabet(tuple(range(10))))
+    a, b = table[x], CodeWord(y)
+    before = identity(a, b)
+    for word, digits in ((a, x), (b, y)):
+        text = "".join(map(str, digits))
+        assert (word.value, str(word)) == (int(text), text)
+    assert identity(a, b) == before
+    assert table[x] is a
+    copy = pickle.loads(pickle.dumps(a))
+    assert (copy.value, str(copy)) == (a.value, str(a))
+    other = dataclasses.replace(a, digits=y)
+    assert (other.value, str(other)) == (b.value, str(b))
 
 
 def test_recompose_from_a_word_table_is_recompose(lo_shu):

@@ -73,6 +73,17 @@ def test_plain_import_loads_no_submodule():
     assert proc.stdout == "[]\ndigitsquares.generate\n"
 
 
+def test_compose_blocks_loads_only_core():
+    script = ("import sys; from digitsquares import compose_blocks; "
+              "print(sorted(m for m in sys.modules "
+              "if m.startswith('digitsquares.')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['digitsquares.core']\n"
+
+
 @pytest.mark.parametrize("name", sorted(set(digitsquares.__all__)
                                        - {"__version__"}))
 def test_every_exported_name_is_its_submodules_object(name):

@@ -1,6 +1,6 @@
 """The read path handles each distinct cell word once: the reader, the
-transforms, the drawing and the decompose writer against the cell-by-cell
-versions kept in oracle.py."""
+Square's check of its cells, the transforms, the drawing and the
+decompose writer against the cell-by-cell versions kept in oracle.py."""
 
 import json
 
@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from digitsquares import (MIRROR, ROTATION_180, Alphabet, SearchSpec, Square,
-                          compose_blocks, gen_square, mirror_square,
+from digitsquares import (MIRROR, ROTATION_180, Alphabet, CodeWord, SearchSpec,
+                          Square, compose_blocks, gen_square, mirror_square,
                           rotate_square)
 from digitsquares.cli import _json_layers, main
 from digitsquares.core import UnmappableDigit
@@ -88,6 +88,77 @@ def test_from_strings_shares_one_word_per_distinct_string():
     square = Square.from_strings([["12", "21"], ["21", "12"]])
     assert square.cells[0][0] is square.cells[1][1]
     assert square.cells[0][1] is square.cells[1][0]
+
+
+@st.composite
+def faulty_grids(draw):
+    """Rows of code words of one width with a few faults placed in them,
+    and an alphabet or None. Cells take their word from a small pool, some
+    as the pool's object and some as an equal word of their own."""
+    alphabet = draw(st.one_of(st.none(), st.permutations(range(10)).map(
+        lambda ds: Alphabet(tuple(ds[:3])))))
+    digits = sorted(alphabet or range(10))
+    outside = sorted(set(range(10)) - set(digits)) or [0]
+    n = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(st.sampled_from(digits), min_size=w,
+                                  max_size=w).map(tuple).map(CodeWord),
+                         min_size=1, max_size=4))
+
+    def cell():
+        word = draw(st.sampled_from(pool))
+        return word if draw(st.booleans()) else CodeWord(word.digits)
+
+    rows = [[cell() for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(
+            ["wide", "narrow", "outside", "not a word", "short row",
+             "long row", "empty row", "no rows"]))
+        if fault == "short row":
+            rows[i] = rows[i][:-1]
+        elif fault == "long row":
+            rows[i] = rows[i] + [cell()]
+        elif fault == "empty row":
+            rows[i] = []
+        elif fault == "no rows":
+            rows = []
+            break
+        elif rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            d = draw(st.sampled_from(pool)).digits
+            rows[i][j] = {"wide": CodeWord(d + d[:1]),
+                          "narrow": CodeWord(d[1:] or d + d),
+                          "outside": CodeWord(
+                              (draw(st.sampled_from(outside)),) + d[1:]),
+                          "not a word": str(CodeWord(d))}[fault]
+    return tuple(map(tuple, rows)), alphabet
+
+
+def raised(build, *args):
+    """The type and message of what a call raised, or None."""
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=500)
+@given(faulty_grids())
+@example(((), None))
+@example(((), Alphabet((0, 1, 2))))
+@example((((CodeWord((1,)),), ()), None))
+@example((((CodeWord((1,)), CodeWord((2, 2))), (CodeWord((3,)),)),
+          Alphabet((1, 2))))
+@example((((CodeWord((1,)), CodeWord((3,))), (CodeWord((2, 2)), "1")),
+          Alphabet((1, 2))))
+def test_square_checks_its_cells_as_the_cell_by_cell_loop(grid):
+    cells, alphabet = grid
+    want = raised(oracle.check_square_cells, cells, alphabet)
+    assert raised(Square, cells, alphabet) == want
+    if want is None:
+        assert Square(cells, alphabet).cells is cells
 
 
 def test_cli_names_a_list_cell_and_exits_2(capsys, tmp_path):
