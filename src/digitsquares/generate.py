@@ -5,7 +5,11 @@ per-place line sums s_p is a stack of d single-digit layers, each of which
 is itself a (possibly pandiagonal) magic square over the alphabet. Layers
 are found by row-major backtracking with the last column and last row forced
 by the running sums, and full squares are built as the lazy product of one
-layer stream per place. The resulting line sum is exact:
+layer stream per place. A place's stream is the same on every pass of the
+product: it is searched on its first pass, searched and recorded on the
+pass after its first run-out, and replayed from the record after that. A
+record holds at most all of that place's layers, each row stored once and
+shared. The resulting line sum is exact:
 
     S1 = sum over places p of s_p * 10**(d-1-p)
 
@@ -54,7 +58,9 @@ class SearchSpec:
 
     ``deterministic`` makes the stream the lexicographically ordered one;
     otherwise the branching order is shuffled by a generator seeded from
-    ``seed``, which is still reproducible run to run.
+    ``seed``, which is still reproducible run to run. A negative ``seed``
+    is rejected with ValueError: ``random.Random`` seeds with its absolute
+    value, so it would repeat the positive seed's stream.
 
     A spec whose searched width plus order**2 passes
     ``sys.getrecursionlimit()`` less ``_CALLER_FRAMES`` is rejected with
@@ -83,6 +89,8 @@ class SearchSpec:
             raise ValueError(f"width must be at least 1, got {self.width}")
         if self.limit < 1:
             raise ValueError(f"limit must be at least 1, got {self.limit}")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if self.budget_ms is not None and self.budget_ms < 0:
             raise ValueError("budget must not be negative")
         if self.bimagic:
@@ -403,7 +411,15 @@ def _square_stream(spec: SearchSpec,
 
 def _layer_planes(spec: SearchSpec, deadline: float | None
                   ) -> Iterator[tuple[Grid, ...]]:
-    # the lazy product of one layer stream per searched digit place
+    # the lazy product of one layer stream per searched digit place. A
+    # place's stream is the same on every pass (its generator is seeded the
+    # same way each time), so it is searched on its first pass, searched
+    # and recorded on the pass after its first run-out, and replayed from
+    # the record after that, with the deadline tested once per replayed
+    # grid. Recording waits for a second pass, so a request that never
+    # restarts a place keeps none of the grids its one pass walks. A record
+    # holds at most all of the place's layers, each row stored once and
+    # shared between them.
     n = spec.order
     if spec.palindromic:
         search_width = spec.width // 2
@@ -419,14 +435,37 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
             return None
         return random.Random(spec.seed * 65537 + place)
 
+    # per place: the passes that ran out, and the record of its layers
+    ran_out = [0] * search_width
+    records: list[list[Grid]] = [[] for _ in range(search_width)]
+
+    def layers(place: int) -> Iterator[Grid]:
+        record = records[place]
+        if ran_out[place] >= 2:
+            for grid in record:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _DeadlineHit
+                yield grid
+            return
+        stream = _layer_stream(n, spec.alphabet, sums[place],
+                               pandiagonal=spec.pandiagonal,
+                               rng=rng_for(place), deadline=deadline)
+        if ran_out[place]:
+            rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for grid in stream:
+                grid = tuple([rows.setdefault(row, row) for row in grid])
+                record.append(grid)
+                yield grid
+        else:
+            yield from stream
+        ran_out[place] += 1
+
     def rec(place: int) -> Iterator[tuple[Grid, ...]]:
         if place == search_width:
             # the mirrored planes make every cell w + reverse(w)
             yield (*grids, *grids[::-1]) if spec.palindromic else tuple(grids)
             return
-        for grid in _layer_stream(n, spec.alphabet, sums[place],
-                                  pandiagonal=spec.pandiagonal,
-                                  rng=rng_for(place), deadline=deadline):
+        for grid in layers(place):
             grids.append(grid)
             if (not spec.distinct
                     or _prefix_distinct_ok(grids, search_width - place - 1,

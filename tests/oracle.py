@@ -1,5 +1,6 @@
 """Oracles for the layer search: exhaustive enumeration of width-1 magic
-squares, and the recursive backtracker the one-loop search replaced; for
+squares, the recursive backtracker the one-loop search replaced, and the
+layer product as it searched every place's stream again on every pass; for
 the CLI's JSON writers, the documents as dicts for ``json.dumps``; for
 the checks of ``verify``, their line geometry on code words as it was
 before every check ran on one enumeration of plain-int lines; and for the
@@ -15,11 +16,13 @@ import time
 from collections import Counter
 from typing import Iterator, Sequence
 
-from digitsquares import Alphabet, CodeWord, Square, decompose, verify
+from digitsquares import (Alphabet, CodeWord, SearchSpec, Square, decompose,
+                          verify)
 from digitsquares.core import (Grid, NonMirrorableDigit, NonRotatableDigit,
                                ShapeMismatch, _reflect_codeword,
                                is_digit_string, rotate_codeword)
-from digitsquares.generate import _DeadlineHit
+from digitsquares.generate import (_DeadlineHit, _layer_stream,
+                                   _prefix_distinct_ok)
 from digitsquares.sevenseg import _DIGIT_LINES
 from digitsquares.verify import (BadBlockSize, EntryProperties, InvalidState,
                                  LineSum, PropertyReport)
@@ -210,6 +213,44 @@ def recursive_layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                 minus[km] -= d
 
     yield from fill(0)
+
+
+# The layer product as it was before a place's stream was recorded and
+# replayed, kept as written: every pass searches the place's layers again.
+def re_searching_layer_planes(spec: SearchSpec, deadline: float | None
+                              ) -> Iterator[tuple[Grid, ...]]:
+    # the lazy product of one layer stream per searched digit place
+    n = spec.order
+    if spec.palindromic:
+        search_width = spec.width // 2
+        sums = spec.line_sums[:search_width]
+    else:
+        search_width = spec.width
+        sums = spec.line_sums
+    asize = len(spec.alphabet)
+    grids: list[Grid] = []
+
+    def rng_for(place: int) -> random.Random | None:
+        if spec.deterministic:
+            return None
+        return random.Random(spec.seed * 65537 + place)
+
+    def rec(place: int) -> Iterator[tuple[Grid, ...]]:
+        if place == search_width:
+            # the mirrored planes make every cell w + reverse(w)
+            yield (*grids, *grids[::-1]) if spec.palindromic else tuple(grids)
+            return
+        for grid in _layer_stream(n, spec.alphabet, sums[place],
+                                  pandiagonal=spec.pandiagonal,
+                                  rng=rng_for(place), deadline=deadline):
+            grids.append(grid)
+            if (not spec.distinct
+                    or _prefix_distinct_ok(grids, search_width - place - 1,
+                                           asize)):
+                yield from rec(place + 1)
+            grids.pop()
+
+    return rec(0)
 
 
 # The checks of verify as they were on code words, kept as written: each

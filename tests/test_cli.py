@@ -566,6 +566,26 @@ def test_written_documents_are_pinned(capsys, ext_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--order", "3", "--width", "4", "--line-sum", "3", "--limit", "1000"],
+     "6839d81a250b209b496c950fae4862f44b40ef379d505b173d8990581ba4d5ea"),
+    (["--order", "4", "--width", "4", "--line-sum", "4", "--palindromic",
+      "--limit", "1000"],
+     "e4becf78b6e95edc44974cb90e7eaf881de8051797c59c5966c4109540c51360"),
+    (["--order", "4", "--width", "3", "--line-sum", "4", "--distinct",
+      "--limit", "50"],
+     "3e57439a7cd32c71b2fc37aae5314d223578f40a919116538c0b900e3ee24f5a"),
+])
+def test_multi_pass_streams_are_pinned(capsys, argv, digest):
+    # streams that pass their inner places many times, so most of their
+    # layers come from a place's record; digests of the output when every
+    # pass searched its place again. The first stream is all 625 squares.
+    code, out, err = run(capsys, "generate", *argv, "--deterministic",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class Clock:
     """A stand-in for generate's clock: time moves only when told to."""
 
@@ -598,6 +618,36 @@ def test_generate_says_when_the_budget_cuts_the_stream(capsys, monkeypatch):
     assert stdout.getvalue() == whole
     assert capsys.readouterr().err == (
         "budget of 1000 ms spent after 1 of 5 squares\n")
+
+
+def test_generate_budget_cuts_a_stream_of_replayed_places(capsys,
+                                                          monkeypatch):
+    # order 3, width 7: five layers per place, so place 1's third pass
+    # starts at square 2 * 5**6 + 1, when every inner place replays its
+    # record; only place 0 still searches, once per 5**6 squares
+    clock = Clock()
+    monkeypatch.setattr(generate, "time", clock)
+    cut = 2 * 5 ** 6 + 1
+
+    class Stdout(io.StringIO):
+        # one write per square, then one for the tail
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == cut:
+                clock.now = 1e9
+            return super().write(text)
+
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["generate", "--order", "3", "--width", "7", "--line-sum",
+                 "3", "--limit", "1000000000", "--budget-ms", "1000"])
+    assert code == 0
+    emitted = stdout.getvalue().count("---") + 1
+    assert cut <= emitted <= cut + 1
+    assert capsys.readouterr().err == (
+        f"budget of 1000 ms spent after {emitted} of 1000000000 squares\n")
 
 
 @pytest.mark.parametrize("limit", ["3", "100"])
@@ -700,11 +750,12 @@ def test_generate_line_sum_takes_ascii_digits_only(capsys):
                            "--line-sum", raw)
         assert code == 2
         assert f"--line-sum must be integers, got {raw!r}" in err
-    # a minus sign is still read, so a negative seed still works
-    code, out, _ = run(capsys, "generate", "--order", "3", "--width", "1",
-                       "--line-sum", "3", "--seed", "-1", "--format", "json")
-    assert code == 0
-    assert len(json.loads(out)) == 1
+    # a minus sign is still read, and a negative seed is refused: the
+    # generator would seed with abs(seed) and repeat the positive seed
+    code, out, err = run(capsys, "generate", "--order", "3", "--width", "1",
+                         "--line-sum", "3", "--seed", "-1", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "seed must not be negative" in err
 
 
 def test_verify_blocks_takes_ascii_digits_only(capsys, ext_path):

@@ -200,6 +200,11 @@ def test_search_spec_validation():
         SearchSpec(order=3, width=2, line_sums=(3,))
     with pytest.raises(ValueError):
         SearchSpec(order=3, width=1, line_sums=(3,), limit=0)
+    # random.Random seeds with abs(seed): seed -1 would repeat seed 1
+    with pytest.raises(ValueError, match="seed must not be negative"):
+        SearchSpec(order=3, width=1, line_sums=(3,), seed=-1)
+    with pytest.raises(ValueError, match="seed must not be negative"):
+        SearchSpec(order=9, width=4, bimagic=True, seed=-2)
     with pytest.raises(ValueError):
         SearchSpec(order=3, width=3, line_sums=(3,) * 3, palindromic=True)
     with pytest.raises(ValueError):
