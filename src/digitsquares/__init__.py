@@ -24,14 +24,13 @@ _HOME = {
         "palindromic_extend", "recompose", "rotate_codeword",
         "rotate_square"), "core"),
     **dict.fromkeys(("SearchSpec", "gen_square"), "generate"),
-    **dict.fromkeys(("MalformedBlock", "render_codeword", "render_square",
-                     "rotate_text"), "sevenseg"),
+    **dict.fromkeys(("MalformedBlock", "render_square", "rotate_text"),
+                    "sevenseg"),
     **dict.fromkeys((
-        "ClaimAudit", "EntryProperties", "LineSum", "NotDivisible",
-        "PropertyReport", "PythagorasResult", "audit_published_values",
-        "check_bimagic", "check_blocks", "check_magic", "check_pandiagonal",
-        "entry_properties", "line_sums", "pythagoras_check", "report",
-        "s2_from_multiset"), "verify"),
+        "PropertyReport", "audit_published_values", "check_bimagic",
+        "check_blocks", "check_magic", "check_pandiagonal", "entry_properties",
+        "line_sums", "pythagoras_check", "report", "s2_from_multiset"),
+        "verify"),
 }
 
 _SUBMODULES = ("cli", "core", "generate", "sevenseg", "verify")

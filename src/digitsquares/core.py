@@ -118,7 +118,9 @@ class Alphabet:
         if len(set(self.digits)) != len(self.digits):
             raise ValueError(f"alphabet has repeated digits: {self.digits}")
         for d in self.digits:
-            if not isinstance(d, int) or not 0 <= d <= 9:
+            # bool is an int subclass: (False, True) would print as FalseTrue
+            if (isinstance(d, bool) or not isinstance(d, int)
+                    or not 0 <= d <= 9):
                 raise ValueError(f"not a decimal digit: {d!r}")
         object.__setattr__(self, "_members", frozenset(self.digits))
 

@@ -361,8 +361,14 @@ def gen_square(spec: SearchSpec,
                     "palindromic cells force mirror-symmetric line sums, "
                     f"got {spec.line_sums}")
     if spec.distinct:
-        pool = len(spec.alphabet) ** (spec.width // 2 if spec.palindromic
-                                      else spec.width)
+        # a cell shares its row with n-1 digits in [lo, hi], so at a place
+        # with sum s it holds a digit d with s-(n-1)hi <= d <= s-(n-1)lo;
+        # the mirrored places of a palindromic cell follow from the others
+        pool = 1
+        for s in spec.line_sums[:spec.width // 2 if spec.palindromic
+                                else spec.width]:
+            pool *= sum(s - (n - 1) * hi <= d <= s - (n - 1) * lo
+                        for d in spec.alphabet)
         if pool < n * n:
             raise Unsatisfiable(
                 f"only {pool} distinct cells are available but {n * n} are needed")
@@ -479,7 +485,8 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
 def bimagic_search(spec: SearchSpec,
                    on_budget: Callable[[int], None] | None = None
                    ) -> Iterator[Square]:
-    """Order-9, width-4 bimagic squares over {0, 1, 2}.
+    """Order-9, width-4 bimagic squares over {0, 1, 2}, the one shape a
+    bimagic ``SearchSpec`` allows.
 
     A cell's four digits are affine functions (r . (i1, i0, j1, j0) + offset)
     mod 3 of the base-3 digits of its row i and column j, one coefficient
@@ -493,8 +500,6 @@ def bimagic_search(spec: SearchSpec,
     aligned 3x3 block the sum 9999, and full rank makes all 81 cells
     distinct. Every square is still re-verified before it is emitted.
     """
-    if (spec.order, spec.width) != (9, 4):
-        raise ValueError("bimagic search supports only order 9, width 4")
     return _square_stream(spec, _bimagic_planes, Alphabet((0, 1, 2)),
                           on_budget)
 

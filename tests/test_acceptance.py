@@ -16,11 +16,11 @@ from digitsquares import (Alphabet, CodeWord, MIRROR, ROTATION_180,
                           check_bimagic, check_blocks, check_magic,
                           check_pandiagonal, compose_blocks, decompose,
                           entry_properties, gen_square, mirror_codeword,
-                          pythagoras_check, recompose, render_codeword,
-                          rotate_codeword, rotate_square, rotate_text,
-                          s2_from_multiset)
+                          pythagoras_check, recompose, rotate_codeword,
+                          rotate_square, rotate_text, s2_from_multiset)
 from digitsquares.cli import main
 from digitsquares.generate import _layer_stream, bimagic_search
+from digitsquares.sevenseg import render_codeword
 from oracle import square_document
 
 

@@ -18,8 +18,7 @@ import digitsquares
 import oracle
 from digitsquares import (SearchSpec, Square, decompose, gen_square, generate,
                           recompose, render_square)
-from digitsquares.cli import (DocumentError, SquareDocument, _json_document,
-                              main, parse_document)
+from digitsquares.cli import DocumentError, _json_document, main, parse_document
 from oracle import square_document
 from test_core import squares
 
@@ -306,7 +305,7 @@ def _reference_accepts(doc):
 @given(st.one_of(digit_like_documents(), one_width_documents()))
 def test_digit_like_documents_parse_or_raise_document_error(doc):
     try:
-        square = parse_document(json.dumps(doc)).to_square()
+        square = parse_document(json.dumps(doc))
     except DocumentError:
         assert not _reference_accepts(doc)
         return
@@ -326,7 +325,7 @@ def test_csv_documents_read_like_json_documents(doc):
     read = []
     for text in (json.dumps(doc), csv_text):
         try:
-            read.append(parse_document(text).to_square())
+            read.append(parse_document(text))
         except DocumentError:
             read.append(None)
     assert read[0] == read[1]
@@ -843,10 +842,10 @@ def test_transform_needs_exactly_one_mode(ext_path):
 
 
 def test_render_matches_library(capsys, ext_path):
-    doc = SquareDocument.from_json_dict(EXT_DOC)
+    square = parse_document(json.dumps(EXT_DOC))
     code, out, _ = run(capsys, "render", ext_path)
     assert code == 0
-    assert out == render_square(doc.to_square()) + "\n"
+    assert out == render_square(square) + "\n"
 
 
 def test_render_compact_drops_blank_lines(capsys, ext_path):

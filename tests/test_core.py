@@ -104,6 +104,14 @@ def test_alphabet_validation():
         Alphabet.from_string("0²")
 
 
+@pytest.mark.parametrize("digits", [(False, True), (0, True), (True,)])
+def test_alphabet_rejects_booleans(digits):
+    # bool is an int subclass: (False, True) printed as "FalseTrue", which
+    # no document can be read back from
+    with pytest.raises(ValueError, match="not a decimal digit"):
+        Alphabet(digits)
+
+
 @pytest.mark.parametrize("src, want", [
     ("1221", "1221"),
     ("0121", "1210"),

@@ -1,6 +1,7 @@
 """Layer search, the layered square search, bimagic construction, oracles."""
 
 import hashlib
+import itertools
 import random
 import sys
 
@@ -178,6 +179,63 @@ def test_gen_square_unsatisfiable_pigeonhole():
     spec = SearchSpec(order=3, width=1, line_sums=(3,), distinct=True)
     with pytest.raises(Unsatisfiable):
         list(gen_square(spec))
+
+
+def test_distinct_pool_counts_the_digits_each_place_can_hold():
+    # a cell shares its row with four digits in [0, 2], so a sum-1 place
+    # holds 0 or 1: 3 * 2 * 2 = 12 cells for 25
+    spec = SearchSpec(order=5, width=3, line_sums=(5, 1, 1), distinct=True,
+                      deterministic=True)
+    with pytest.raises(Unsatisfiable, match="^only 12 distinct cells are "
+                                            "available but 25 are needed$"):
+        gen_square(spec)
+    # a palindromic cell is fixed by its first half: 3 * 1 = 3 cells for 9
+    spec = SearchSpec(order=3, width=4, line_sums=(3, 0, 0, 3), distinct=True,
+                      palindromic=True)
+    with pytest.raises(Unsatisfiable, match="^only 3 distinct cells"):
+        gen_square(spec)
+    # 3 * 2 * 2 * 2 = 24 cells for 16 passes the rule: the search decides
+    spec = SearchSpec(order=4, width=4, line_sums=(4, 1, 1, 1), distinct=True,
+                      deterministic=True)
+    with pytest.raises(Unsatisfiable, match="search space exhausted"):
+        list(gen_square(spec))
+
+
+@pytest.mark.parametrize("alphabet", ["012", "025", "013"])
+def test_the_distinct_pool_rule_rejects_only_what_the_search_exhausts(
+        alphabet):
+    """Every request the pool rule rejects and the old rule, len(alphabet)
+    ** width cells, let through is searched to exhaustion without a square.
+
+    Each multiset of place sums is searched once, in nondecreasing order:
+    the order of the places moves the search, not whether a square with
+    distinct cells exists (reordering the planes of a square reorders the
+    digits of every cell, which keeps them distinct).
+    """
+    alpha = Alphabet.from_string(alphabet)
+    lo, hi = alpha.min_digit, alpha.max_digit
+    searched = 0
+    for n in (3, 4):
+        for width in (1, 2, 3):
+            for sums in itertools.combinations_with_replacement(
+                    range(n * lo, n * hi + 1), width):
+                spec = SearchSpec(order=n, width=width, alphabet=alpha,
+                                  line_sums=sums, distinct=True,
+                                  deterministic=True)
+                try:
+                    gen_square(spec)
+                except Unsatisfiable as exc:
+                    if ("distinct cells" not in str(exc)
+                            or len(alpha) ** width < n * n):
+                        continue
+                else:
+                    continue
+                searched += 1
+                with pytest.raises(Unsatisfiable, match="search space "
+                                                        "exhausted"):
+                    next(generate._square_stream(spec, generate._layer_planes,
+                                                 alpha))
+    assert searched > 40
 
 
 def test_gen_square_exhausts_cleanly():

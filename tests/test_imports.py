@@ -93,11 +93,43 @@ def test_every_exported_name_is_its_submodules_object(name):
     assert owners == {id(getattr(digitsquares, name))}
 
 
+EXPORTED = {
+    "Alphabet", "BadBlockSize", "BudgetExhausted", "CodeWord", "InvalidState",
+    "MIRROR", "MalformedBlock", "NonMirrorableDigit", "NonRotatableDigit",
+    "PropertyReport", "ROTATION_180", "SearchSpec", "ShapeMismatch", "Square",
+    "Unsatisfiable", "__version__", "audit_published_values", "check_bimagic",
+    "check_blocks", "check_magic", "check_pandiagonal", "compose_blocks",
+    "decompose", "entry_properties", "gen_square", "line_sums",
+    "mirror_codeword", "mirror_square", "palindromic_extend",
+    "pythagoras_check", "recompose", "render_square", "report",
+    "rotate_codeword", "rotate_square", "rotate_text", "s2_from_multiset",
+}
+
+# names that only tests use: importable from their module, not the package
+MODULE_ONLY = [("ClaimAudit", "verify"), ("EntryProperties", "verify"),
+               ("LineSum", "verify"), ("NotDivisible", "verify"),
+               ("PythagorasResult", "verify"), ("render_codeword", "sevenseg")]
+
+
 def test_star_import_yields_exactly_all():
     namespace = {}
     exec("from digitsquares import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(digitsquares.__all__)
-    assert len(digitsquares.__all__) == len(set(digitsquares.__all__)) == 43
+    assert len(digitsquares.__all__) == len(set(digitsquares.__all__)) == 37
+    assert set(digitsquares.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("name, module", MODULE_ONLY,
+                         ids=[name for name, _ in MODULE_ONLY])
+def test_a_test_only_name_imports_from_its_module_alone(name, module):
+    namespace, star = {}, {}
+    exec(f"from digitsquares.{module} import {name}", namespace)
+    assert namespace[name] is vars(importlib.import_module(
+        f"digitsquares.{module}"))[name]
+    exec("from digitsquares import *", star)
+    assert name not in star
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(digitsquares, name)
 
 
 def test_unknown_names_raise_attribute_error():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsquares import (CodeWord, MalformedBlock, ROTATION_180, Square,
-                          render_codeword, render_square, rotate_codeword,
-                          rotate_square, rotate_text)
-from digitsquares.sevenseg import _DIGIT_SEGMENTS, _turn
+                          render_square, rotate_codeword, rotate_square,
+                          rotate_text)
+from digitsquares.sevenseg import _DIGIT_SEGMENTS, _turn, render_codeword
 
 
 def word(text):

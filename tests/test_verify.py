@@ -3,11 +3,12 @@
 import pytest
 
 from digitsquares import (Alphabet, BadBlockSize, CodeWord, InvalidState,
-                          NotDivisible, SearchSpec, Square,
-                          audit_published_values, check_bimagic, check_blocks,
-                          check_magic, check_pandiagonal, entry_properties,
-                          gen_square, line_sums, pythagoras_check, report,
+                          SearchSpec, Square, audit_published_values,
+                          check_bimagic, check_blocks, check_magic,
+                          check_pandiagonal, entry_properties, gen_square,
+                          line_sums, pythagoras_check, report,
                           s2_from_multiset, verify)
+from digitsquares.verify import NotDivisible
 
 
 def uniform(order, text):
