@@ -22,7 +22,7 @@ import contextlib
 import io
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
 # a call imports only what its subcommand runs: generate, sevenseg, verify,
@@ -42,43 +42,51 @@ class DocumentError(ValueError):
     """Anything wrong with an input document; the message says what and where."""
 
 
-def _document(obj: object) -> Square:
-    """The square of a parsed document, after its shape is checked.
+@dataclass
+class SquareDocument:
+    """A document of checked shape; ``to_square`` checks the declared width,
+    which Square cannot know, on cell (0, 0) and leaves the cells to Square."""
 
-    The shape is the keys, order, width, alphabet and rows of order cells;
-    the declared width, which Square cannot know, is checked on cell (0, 0),
-    and Square checks the cells.
-    """
-    if not isinstance(obj, dict):
-        raise DocumentError("top level must be a JSON object")
-    for key in ("order", "width", "rows"):
-        if key not in obj:
-            raise DocumentError(f"missing key {key!r}")
-    order, width, rows = obj["order"], obj["width"], obj["rows"]
-    for key, value in (("order", order), ("width", width)):
-        # bool is an int subclass, so true would read as 1
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DocumentError(
-                f"{key} must be a positive integer, got {value!r}")
-    alphabet = obj.get("alphabet")
-    if alphabet is not None:
+    width: int
+    rows: list[list[str]]
+    alphabet: Alphabet | None = None
+
+    @classmethod
+    def from_json_dict(cls, obj: object) -> "SquareDocument":
+        if not isinstance(obj, dict):
+            raise DocumentError("top level must be a JSON object")
+        for key in ("order", "width", "rows"):
+            if key not in obj:
+                raise DocumentError(f"missing key {key!r}")
+        order, width, rows = obj["order"], obj["width"], obj["rows"]
+        for key, value in (("order", order), ("width", width)):
+            # bool is an int subclass, so true would read as 1
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
+                raise DocumentError(
+                    f"{key} must be a positive integer, got {value!r}")
+        alphabet = obj.get("alphabet")
+        if alphabet is not None:
+            try:
+                alphabet = Alphabet.from_string(alphabet)
+            except ValueError as exc:
+                raise DocumentError(str(exc)) from None
+        if not isinstance(rows, list) or len(rows) != order:
+            raise DocumentError(f"rows must be a list of {order} rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != order:
+                raise DocumentError(f"row {i} must be a list of {order} cells")
+        return cls(width=width, rows=rows, alphabet=alphabet)
+
+    def to_square(self) -> Square:
+        first = self.rows[0][0]
+        if is_digit_string(first) and len(first) != self.width:
+            raise DocumentError(f"cell (0, 0) is {len(first)} digits wide, "
+                                f"expected {self.width}")
         try:
-            alphabet = Alphabet.from_string(alphabet)
+            return Square.from_strings(self.rows, self.alphabet)
         except ValueError as exc:
             raise DocumentError(str(exc)) from None
-    if not isinstance(rows, list) or len(rows) != order:
-        raise DocumentError(f"rows must be a list of {order} rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != order:
-            raise DocumentError(f"row {i} must be a list of {order} cells")
-    first = rows[0][0]
-    if is_digit_string(first) and len(first) != width:
-        raise DocumentError(f"cell (0, 0) is {len(first)} digits wide, "
-                            f"expected {width}")
-    try:
-        return Square.from_strings(rows, alphabet)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
 
 
 def _json_document(square: Square, margin: str = "") -> str:
@@ -131,14 +139,14 @@ def parse_document(text: str, source: str = "<input>") -> Square:
             except ValueError as exc:
                 # an integer literal longer than int() converts
                 raise DocumentError(f"invalid JSON: {exc}") from None
-            return _document(obj)
+            return SquareDocument.from_json_dict(obj).to_square()
         if head == "#":
-            return _parse_csv(text)
+            return _parse_csv(text).to_square()
         raise DocumentError(
             f"expected '{{' (JSON) or '# order,width' (CSV), got {head!r}")
 
 
-def _parse_csv(text: str) -> Square:
+def _parse_csv(text: str) -> SquareDocument:
     import csv
 
     # the header is the first non-blank line, as for choosing the format
@@ -162,7 +170,8 @@ def _parse_csv(text: str) -> Square:
     if len(rows) != order:
         raise DocumentError(f"expected {order} data rows, got {len(rows)}")
     cleaned = [[cell.strip() for cell in row] for row in rows]
-    return _document({"order": order, "width": width, "rows": cleaned})
+    return SquareDocument.from_json_dict(
+        {"order": order, "width": width, "rows": cleaned})
 
 
 def load_document(path: str) -> Square:

@@ -485,8 +485,8 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
 def bimagic_search(spec: SearchSpec,
                    on_budget: Callable[[int], None] | None = None
                    ) -> Iterator[Square]:
-    """Order-9, width-4 bimagic squares over {0, 1, 2}, the one shape a
-    bimagic ``SearchSpec`` allows.
+    """Order-9, width-4 bimagic squares over {0, 1, 2}; spec must be a
+    bimagic SearchSpec, the one guard of that shape (not checked again here).
 
     A cell's four digits are affine functions (r . (i1, i0, j1, j0) + offset)
     mod 3 of the base-3 digits of its row i and column j, one coefficient
