@@ -29,8 +29,8 @@ from typing import Iterable, Iterator, TextIO
 # csv and json are imported inside the functions that use them
 from .core import (SUM_PROPERTIES, Alphabet, BadBlockSize, BudgetExhausted,
                    Grid, InvalidState, ShapeMismatch, Square, Unsatisfiable,
-                   UnmappableDigit, _word_text, decompose, is_digit_string,
-                   mirror_square, rotate_square)
+                   UnmappableDigit, _common, _lines, _word_text, decompose,
+                   is_digit_string, mirror_square, rotate_square)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -99,17 +99,28 @@ def _json_document(square: Square, margin: str = "") -> str:
     only values are ints and strings of ASCII digits, which JSON writes as
     they stand.
     """
+    return _json_head(square, margin) + _json_rows(square, margin)
+
+
+def _json_head(square: Square, margin: str) -> str:
+    # the document up to its rows, the same for every square of a stream
     nl = "\n" + margin
     head = (f'{margin}{{{nl}  "order": {square.order},'
             f'{nl}  "width": {square.width},')
     if square.alphabet is not None:
         head += f'{nl}  "alphabet": "{square.alphabet}",'
+    return head
+
+
+def _json_rows(square: Square, margin: str) -> str:
+    # the rest of the document: its rows and the closing brace
+    nl = "\n" + margin
     cell = f'",{nl}      "'
     rows = f",{nl}    ".join(
         f'[{nl}      "{cell.join(map(_word_text, row))}"'
         f'{nl}    ]'
         for row in square.cells)
-    return f'{head}{nl}  "rows": [{nl}    {rows}{nl}  ]{nl}}}'
+    return f'{nl}  "rows": [{nl}    {rows}{nl}  ]{nl}}}'
 
 
 @contextlib.contextmanager
@@ -164,7 +175,7 @@ def _parse_csv(text: str) -> SquareDocument:
             f"got {first!r}") from None
     body = [ln for _, ln in lines[1:]]
     try:
-        rows = list(csv.reader(io.StringIO("\n".join(body))))
+        rows = list(csv.reader(io.StringIO("\n".join(body)), strict=True))
     except csv.Error as exc:
         raise DocumentError(f"bad CSV: {exc}") from None
     if len(rows) != order:
@@ -345,10 +356,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     margin, head, sep, tail = (("  ", "[\n", ",\n", "\n]\n")
                                if args.format == "json"
                                else ("", "", "\n---\n", "\n"))
+    # every square of a stream has the order, width and alphabet of the first
+    doc_head = _json_head(first, margin)
     with _output(args.out) as out:
-        out.write(head + _json_document(first, margin))
+        out.write(head + doc_head + _json_rows(first, margin))
         for square in squares:
-            out.write(sep + _json_document(square, margin))
+            out.write(sep + doc_head + _json_rows(square, margin))
         out.write(tail)
     return EXIT_OK
 
@@ -395,12 +408,10 @@ def _json_layers(order: int, width: int,
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    from . import verify
-
     square = load_document(args.square)
     # (scale, common line sum or None, grid) per place
-    layers = [(10 ** (square.width - 1 - p),
-               verify._common(map(sum, verify._lines(grid))), grid)
+    layers = [(10 ** (square.width - 1 - p), _common(map(sum, _lines(grid))),
+               grid)
               for p, grid in enumerate(decompose(square))]
     _check_printable((scale for scale, _, _ in layers), square.width)
     if args.format == "json":

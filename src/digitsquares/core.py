@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -370,31 +370,30 @@ def recompose(planes: Sequence[Grid], alphabet: Alphabet | None = None, *,
 
     ``words``, a WordTable, stands in for ``alphabet``: it gives the same
     square as ``recompose(planes, words.alphabet)`` and rejects the same
-    planes. When every entry is a plain int, the cells are the table's
-    words, checked once when the table made them and not again by the
-    Square, and each keeps its value and text for the whole stream.
+    planes. When every plane is a tuple of tuples of plain ints, the cells
+    are the table's words, checked once when the table made them and not
+    again by the Square, and each keeps its value and text for the whole
+    stream; see ``WordTable.stack``.
     """
     if words is None:
-        return Square(_stack(planes, CodeWord), alphabet)
+        return Square(_stack(planes), alphabet)
     if alphabet is not None:
         raise TypeError("recompose takes alphabet or words, not both")
-    # the table matches digit tuples by equality: a float or bool equal to
-    # a digit would find that digit's word, so only plain ints look it up
-    if {type(v) for plane in planes for row in plane for v in row} == {int}:
-        return _unchecked(Square, cells=_stack(planes, words.__getitem__),
-                          alphabet=words.alphabet)
-    return Square(_stack(planes, CodeWord), words.alphabet)
+    cells = words.stack(planes)
+    if cells is None:
+        return Square(_stack(planes), words.alphabet)
+    return _unchecked(Square, cells=cells, alphabet=words.alphabet)
 
 
-def _stack(planes: Sequence[Grid], word) -> tuple[tuple[CodeWord, ...], ...]:
-    # cell (i, j) is word() of the tuple of plane[i][j] over the planes
+def _stack(planes: Sequence[Grid]) -> tuple[tuple[CodeWord, ...], ...]:
+    # cell (i, j) is the code word of plane[i][j] over the planes
     if not planes:
         raise ShapeMismatch("need at least one plane")
     n = len(planes[0])
     for p, plane in enumerate(planes):
         if len(plane) != n or any(len(row) != n for row in plane):
             raise ShapeMismatch(f"plane {p} is not {n} x {n}")
-    return tuple(tuple(map(word, zip(*rows))) for rows in zip(*planes))
+    return tuple(tuple(map(CodeWord, zip(*rows))) for rows in zip(*planes))
 
 
 def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:
@@ -425,6 +424,45 @@ def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:
     return Square(cells, alphabet)
 
 
+# The lines of a matrix of cell values, which every check of sums reads:
+# verify's checks and report, the generator's re-verification and the
+# line sums of decompose.
+
+
+def _lines(values: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    # the rows, the columns, the main and the anti-diagonal of a value matrix
+    return [*values, *zip(*values), [row[i] for i, row in enumerate(values)],
+            [row[~i] for i, row in enumerate(values)]]
+
+
+def _broken_diagonals(values: Sequence[Sequence[int]]) -> list[list[int]]:
+    # wrap-around diagonals +k and -k interleaved; k = 0 gives the main ones
+    n = len(values)
+    return [[row[(k + sign * i) % n] for i, row in enumerate(values)]
+            for k in range(n) for sign in (1, -1)]
+
+
+def _block_sums(values: Sequence[Sequence[int]], k: int) -> list[int]:
+    n = len(values)
+    if k < 1 or k > n or n % k != 0:
+        raise BadBlockSize(f"block size {k} does not tile a square of order {n}")
+    # each row's k-wide chunk sums, then k rows of chunks per block row
+    chunks = [[sum(row[j:j + k]) for j in range(0, n, k)] for row in values]
+    return [s for i in range(0, n, k) for s in map(sum, zip(*chunks[i:i + k]))]
+
+
+def _common(totals: Iterable[int]) -> int | None:
+    # the one total all lines share, None where they differ
+    seen = set(totals)
+    return seen.pop() if len(seen) == 1 else None
+
+
+def _common_sums(lines: list) -> tuple[int | None, int | None]:
+    # the sum and the sum of squares shared by all lines
+    return (_common(map(sum, lines)),
+            _common(sum(v * v for v in ln) for ln in lines))
+
+
 class WordTable(dict):
     """Code words over one alphabet by digit tuple, each checked once.
 
@@ -439,6 +477,13 @@ class WordTable(dict):
     def __init__(self, alphabet: Alphabet):
         super().__init__()
         self.alphabet = alphabet
+        # the planes of the last stack, all checked and held so that no
+        # other plane takes their place in memory, and their count and order
+        self._planes: tuple[Grid, ...] = ()
+        self._shape: tuple[int, int] | None = None
+        # per row index, the rows of the leading planes and the memo of the
+        # rows stacked under them
+        self._rows: list[tuple[tuple[tuple[int, ...], ...], dict]] = []
 
     def __missing__(self, digits: tuple[int, ...]) -> CodeWord:
         word = CodeWord(digits)
@@ -447,6 +492,50 @@ class WordTable(dict):
                 raise ValueError(f"digit {d} outside alphabet {self.alphabet}")
         self[digits] = word
         return word
+
+    def stack(self, planes: Sequence[Grid]
+              ) -> tuple[tuple[CodeWord, ...], ...] | None:
+        """The cells of the stacked planes as this table's words, or None
+        unless every plane is a tuple of n tuples of n plain ints.
+
+        Planes of that type cannot change, so a plane that is the very
+        object in its place in the call before is not checked again. A
+        stream varies its last plane fastest: while the planes before it
+        stay the same objects, each distinct row of the last plane is
+        stacked under them once, and its tuple of words is kept in a memo
+        per row index. Another lead empties the memo, so it never holds
+        more than n rows per distinct row of the last plane.
+        """
+        planes = tuple(planes)
+        n = len(planes[0]) if planes else 0
+        before = self._planes if (len(planes), n) == self._shape else ()
+        kept = [a is b for a, b in zip_longest(planes, before)]
+        new = [plane for plane, k in zip(planes, kept) if not k]
+        if not planes or (new and not _plain_grids(new, n)):
+            return None
+        if not (before and all(kept[:-1])):
+            lead = planes[:-1]
+            self._rows = [(above, {})
+                          for above in (zip(*lead) if lead else [()] * n)]
+        self._planes, self._shape = planes, (len(planes), n)
+        rows = []
+        for (above, memo), row in zip(self._rows, planes[-1]):
+            words = memo.get(row)
+            if words is None:
+                words = memo[row] = tuple(map(self.__getitem__,
+                                              zip(*above, row)))
+            rows.append(words)
+        return tuple(rows)
+
+
+def _plain_grids(planes: list, n: int) -> bool:
+    # tuples of n tuples of n ints, bool and other subclasses excluded:
+    # planes that cannot change and whose digits find their own words
+    rows = [row for plane in planes if type(plane) is tuple and len(plane) == n
+            for row in plane]
+    return (len(rows) == n * len(planes)
+            and set(map(type, rows)) == {tuple} and set(map(len, rows)) == {n}
+            and {type(v) for row in rows for v in row} == {int})
 
 
 def _each_word(rows: Iterable[Iterable[Hashable]], work,

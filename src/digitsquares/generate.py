@@ -31,9 +31,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import verify
 from .core import (Alphabet, BudgetExhausted, CodeWord, Grid, Square,
-                   Unsatisfiable, WordTable, recompose)
+                   Unsatisfiable, WordTable, _block_sums, _broken_diagonals,
+                   _common_sums, _lines, recompose)
 
 
 # frames kept free for the caller of a search and the search's own fixed
@@ -128,9 +128,9 @@ class SearchSpec:
                     f"{depth} frames deep; the recursion limit {limit} "
                     f"allows {limit - _CALLER_FRAMES}")
 
-    @property
+    @functools.cached_property
     def s1(self) -> int:
-        """The line sum every emitted square will have."""
+        """The line sum every emitted square will have, worked out once."""
         return sum(s * 10 ** (self.width - 1 - p)
                    for p, s in enumerate(self.line_sums))
 
@@ -308,22 +308,24 @@ def _reverify(values: list[list[int]], spec: SearchSpec) -> None:
     ``distinct`` and ``bimagic`` need n*n different values, which for cells
     of one width are n*n different cells, and ``palindromic`` needs every
     value, written with ``spec.width`` digits, to read the same reversed.
-    The lines, broken diagonals and blocks come from ``verify``'s own
-    enumeration. Emitted squares are re-verified, not trusted.
+    The lines, broken diagonals and blocks come from the one enumeration
+    in ``core`` that ``verify`` reads too. Emitted squares are re-verified,
+    not trusted.
     """
     n, s1 = spec.order, spec.s1
-    lines = verify._lines(values)
+    lines = _lines(values)
     if spec.bimagic:
-        if verify._common_sums(lines) != (s1, _BIMAGIC_S2):
+        s2 = _bimagic_s2()
+        if _common_sums(lines) != (s1, s2):
             raise AssertionError(f"generated square is not bimagic with "
-                                 f"S1={s1}, S2={_BIMAGIC_S2}")
-        if set(verify._block_sums(values, 3)) != {s1}:
+                                 f"S1={s1}, S2={s2}")
+        if set(_block_sums(values, 3)) != {s1}:
             raise AssertionError(f"generated square has 3x3 blocks not "
                                  f"summing to {s1}")
     elif set(map(sum, lines)) != {s1}:
         raise AssertionError(f"generated square is not magic with S1={s1}")
     if (spec.pandiagonal
-            and set(map(sum, verify._broken_diagonals(values))) != {s1}):
+            and set(map(sum, _broken_diagonals(values))) != {s1}):
         raise AssertionError("generated square is not pandiagonal")
     if ((spec.distinct or spec.bimagic)
             and len({v for row in values for v in row}) != n * n):
@@ -386,7 +388,9 @@ def _square_stream(spec: SearchSpec,
     Each plane tuple from ``plane_source(spec, deadline)`` is stacked by
     ``recompose`` from a word table kept for the life of the stream, so
     each distinct cell is made and checked against ``alphabet`` once and
-    the square's cells are not checked again. ``_reverify`` then checks
+    the square's cells are not checked again. The planes vary the last
+    place fastest, so the table stacks each distinct row once per run of
+    the same leading planes. ``_reverify`` then checks
     the cells' values, which each word of the table works out once per
     stream, and the square is yielded and counted against the limit.
     """
@@ -554,9 +558,16 @@ _ROWS = [r for r in itertools.product(range(3), repeat=4) if r[1] or r[3]]
 # by row number; nonzero for the 48 rows that vary along all four directions
 _ROW_MASKS = [_line_mask(r) for r in _ROWS]
 _BIMAGIC_FAMILY_SIZE = 2304 * 81    # matrices times offsets
-# every family square holds each of the 81 four-digit words once
-_BIMAGIC_S2 = verify.s2_from_multiset(
-    [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)], 9)
+
+
+@functools.cache
+def _bimagic_s2() -> int:
+    # every family square holds each of the 81 four-digit words once; verify
+    # is imported here, so only a bimagic search loads it
+    from . import verify
+
+    return verify.s2_from_multiset(
+        [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)], 9)
 
 
 def _family_matrices(prefix: tuple = (), used: int = 0

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .core import (SUM_PROPERTIES, BadBlockSize, CodeWord, InvalidState,
-                   NonRotatableDigit, Square, _digits, rotate_codeword)
+                   NonRotatableDigit, Square, _block_sums, _broken_diagonals,
+                   _common, _common_sums, _digits, _lines, rotate_codeword)
 
 
 class NotDivisible(ArithmeticError):
@@ -45,40 +46,6 @@ class LineSum:
 def _values(square: Square) -> list[list[int]]:
     # each cell's exact value, which each word works out once and keeps
     return [[c.value for c in row] for row in square.cells]
-
-
-def _lines(values: Sequence[Sequence[int]]) -> list[Sequence[int]]:
-    # the rows, the columns, the main and the anti-diagonal of a value matrix
-    return [*values, *zip(*values), [row[i] for i, row in enumerate(values)],
-            [row[~i] for i, row in enumerate(values)]]
-
-
-def _broken_diagonals(values: Sequence[Sequence[int]]) -> list[list[int]]:
-    # wrap-around diagonals +k and -k interleaved; k = 0 gives the main ones
-    n = len(values)
-    return [[row[(k + sign * i) % n] for i, row in enumerate(values)]
-            for k in range(n) for sign in (1, -1)]
-
-
-def _block_sums(values: Sequence[Sequence[int]], k: int) -> list[int]:
-    n = len(values)
-    if k < 1 or k > n or n % k != 0:
-        raise BadBlockSize(f"block size {k} does not tile a square of order {n}")
-    # each row's k-wide chunk sums, then k rows of chunks per block row
-    chunks = [[sum(row[j:j + k]) for j in range(0, n, k)] for row in values]
-    return [s for i in range(0, n, k) for s in map(sum, zip(*chunks[i:i + k]))]
-
-
-def _common(totals: Iterable[int]) -> int | None:
-    # the one total all lines share, None where they differ
-    seen = set(totals)
-    return seen.pop() if len(seen) == 1 else None
-
-
-def _common_sums(lines: list) -> tuple[int | None, int | None]:
-    # the sum and the sum of squares shared by all lines
-    return (_common(map(sum, lines)),
-            _common(sum(v * v for v in ln) for ln in lines))
 
 
 def _line_sums(values: Sequence[Sequence[int]]) -> list[LineSum]:

@@ -228,6 +228,9 @@ MALFORMED = {
     "csv field over the csv module's limit": (
         b'# 1,1\n"' + b"1" * 140000 + b'"\n',
         "bad CSV: field larger than field limit (131072)"),
+    # the non-strict dialect read this as the square ["1"]
+    "csv quote never closed": (b'# 1,1\n"1\n',
+                               "bad CSV: unexpected end of data"),
     "json nested 2000 deep": (
         b'{"order": ' + b"[" * 2000 + b"]" * 2000 + b"}",
         "JSON nested too deeply"),

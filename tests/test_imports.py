@@ -51,10 +51,13 @@ def loaded(tmp_path, *argv, stdin=""):
     (["--help"], {"cli", "core"}),
     (["transform", "--rotate180", "-"], {"cli", "core"}),
     (["transform", "--mirror", "-"], {"cli", "core"}),
-    (["decompose", "-"], {"cli", "core", "verify"}),
+    (["decompose", "-"], {"cli", "core"}),
     (["verify", "--magic", "-"], {"cli", "core", "verify"}),
     (["render", "-"], {"cli", "core", "sevenseg"}),
     (["generate", "--order", "3", "--line-sum", "3"],
+     {"cli", "core", "generate"}),
+    # only the bimagic path works out S2, with verify's s2_from_multiset
+    (["generate", "--order", "9", "--width", "4", "--bimagic"],
      {"cli", "core", "generate", "verify"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):

@@ -7,7 +7,7 @@ and asks `verify.check_*` the same questions. Both must accept the planes
 the sources make and reject the same corrupted ones.
 
 Both sides take their rows, columns, diagonals, broken diagonals and 3x3
-blocks from the one line enumeration in `verify`, which
+blocks from the one line enumeration in `core`, which `verify` imports and
 `tests/test_verify_oracle.py` holds to the code-word checks in
 `tests/oracle.py`. What this file still checks on its own is the rest of
 the emit loop: the cell values the word table hands to `_reverify`, and
