@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class UnmappableDigit(ValueError):
@@ -216,29 +216,23 @@ class Square:
     alphabet: Alphabet | None = None
 
     def __post_init__(self):
-        # each distinct word is checked once, and each row's length; only a
-        # faulty square goes through the loop below, which names its first
-        # faulty cell in row-major order
+        # one walk in row-major order names the first faulty cell; a cell
+        # that is a word object checked before is skipped, since its width
+        # and digits passed
         n = len(self.cells)
-        try:
-            words = set(map(_digits, chain.from_iterable(self.cells)))
-            if (all(len(row) == n for row in self.cells)
-                    and len(set(map(len, words))) == 1
-                    and (self.alphabet is None or all(
-                        d in self.alphabet for w in words for d in w))):
-                return
-        except (AttributeError, TypeError):
-            # a cell that is not a code word: the loop meets it in its place
-            pass
         if n < 1:
             raise ShapeMismatch("square must have at least one row")
         # an empty first row fails its length check before w is compared
         w = self.cells[0][0].width if self.cells[0] else 0
+        checked = set()
         for i, row in enumerate(self.cells):
             if len(row) != n:
                 raise ShapeMismatch(
                     f"row {i} has {len(row)} cells, expected {n}")
             for j, cell in enumerate(row):
+                if id(cell) in checked:
+                    continue
+                # a cell that is not a code word raises AttributeError here
                 if cell.width != w:
                     raise ShapeMismatch(
                         f"cell ({i}, {j}) has width {cell.width}, expected {w}")
@@ -248,6 +242,7 @@ class Square:
                             raise ValueError(
                                 f"digit {d} in cell ({i}, {j}) outside "
                                 f"alphabet {self.alphabet}")
+                checked.add(id(cell))
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]],
@@ -258,16 +253,23 @@ class Square:
         A cell that is not a digit string is named by its place, the first
         such cell in row-major order.
         """
-        try:
-            words = _each_word(rows, CodeWord.from_string)
-        except (TypeError, ValueError):
-            # an unhashable cell, or a cell that is not a digit string
-            i, j = next((i, j) for i, row in enumerate(rows)
-                        for j, c in enumerate(row) if not is_digit_string(c))
-            raise ValueError(f"cell ({i}, {j}) must be a digit string, "
-                             f"got {rows[i][j]!r}") from None
-        return cls(tuple(tuple(map(words.__getitem__, r)) for r in rows),
-                   alphabet)
+        words: dict = {}
+        cells = []
+        for i, row in enumerate(rows):
+            line = []
+            for j, text in enumerate(row):
+                try:
+                    try:
+                        word = words[text]
+                    except KeyError:
+                        word = words[text] = CodeWord.from_string(text)
+                except (TypeError, ValueError):
+                    # an unhashable cell, or a cell that is not a digit string
+                    raise ValueError(f"cell ({i}, {j}) must be a digit "
+                                     f"string, got {text!r}") from None
+                line.append(word)
+            cells.append(tuple(line))
+        return cls(tuple(cells), alphabet)
 
     @property
     def order(self) -> int:
@@ -329,17 +331,21 @@ def _reflect_square(square: Square, digit_map: Mapping[int, int],
     # a half turn reverses rows and columns, a mirror only the columns
     error = NonRotatableDigit if flip_rows else NonMirrorableDigit
     n = square.order
-    try:
-        image = _each_word(square.cells, lambda w: _reflect_codeword(
-            w, digit_map, error), _digits)
-    except UnmappableDigit:
-        # name the first cell in output order whose word has no image
-        for i in (reversed(range(n)) if flip_rows else range(n)):
-            for j in reversed(range(n)):
-                _reflect_codeword(square.cells[i][j], digit_map, error, i, j)
-    rows = square.cells[::-1] if flip_rows else square.cells
-    cells = tuple(tuple(map(image.__getitem__, map(_digits, reversed(row))))
-                  for row in rows)
+    # cells in output order, each distinct word turned once where it is
+    # first met, so a fault names the first cell written
+    image: dict = {}
+    cells = []
+    for i in (reversed(range(n)) if flip_rows else range(n)):
+        row = square.cells[i]
+        line = []
+        for j in reversed(range(n)):
+            word = row[j]
+            turned = image.get(word.digits)
+            if turned is None:
+                turned = image[word.digits] = _reflect_codeword(
+                    word, digit_map, error, i, j)
+            line.append(turned)
+        cells.append(tuple(line))
     alphabet = square.alphabet
     if alphabet is not None:
         # the image square draws from the image alphabet ({0,1,2} mirrors to {0,1,5})
@@ -349,7 +355,7 @@ def _reflect_square(square: Square, digit_map: Mapping[int, int],
         alphabet = Alphabet(tuple(digit_map[d] for d in alphabet))
     # a digit map keeps every width and sends the alphabet onto its image,
     # so the image of a square is one too
-    return _unchecked(Square, cells=cells, alphabet=alphabet)
+    return _unchecked(Square, cells=tuple(cells), alphabet=alphabet)
 
 
 def decompose(square: Square) -> tuple[Grid, ...]:
@@ -370,10 +376,10 @@ def recompose(planes: Sequence[Grid], alphabet: Alphabet | None = None, *,
 
     ``words``, a WordTable, stands in for ``alphabet``: it gives the same
     square as ``recompose(planes, words.alphabet)`` and rejects the same
-    planes. When every plane is a tuple of tuples of plain ints, the cells
-    are the table's words, checked once when the table made them and not
-    again by the Square, and each keeps its value and text for the whole
-    stream; see ``WordTable.stack``.
+    planes with the same message. When every plane is a tuple of tuples of
+    plain ints, the cells are the table's words, checked once when the
+    table made them and not again by the Square, and each keeps its value
+    and text for the whole stream; see ``WordTable.stack``.
     """
     if words is None:
         return Square(_stack(planes), alphabet)
@@ -496,7 +502,8 @@ class WordTable(dict):
     def stack(self, planes: Sequence[Grid]
               ) -> tuple[tuple[CodeWord, ...], ...] | None:
         """The cells of the stacked planes as this table's words, or None
-        unless every plane is a tuple of n tuples of n plain ints.
+        unless every plane is a tuple of n tuples of n plain ints whose
+        digit tuples the table takes.
 
         Planes of that type cannot change, so a plane that is the very
         object in its place in the call before is not checked again. A
@@ -522,8 +529,12 @@ class WordTable(dict):
         for (above, memo), row in zip(self._rows, planes[-1]):
             words = memo.get(row)
             if words is None:
-                words = memo[row] = tuple(map(self.__getitem__,
-                                              zip(*above, row)))
+                try:
+                    words = tuple(map(self.__getitem__, zip(*above, row)))
+                except ValueError:
+                    # a word the table refuses: the public path names its cell
+                    return None
+                memo[row] = words
             rows.append(words)
         return tuple(rows)
 
@@ -537,25 +548,6 @@ def _plain_grids(planes: list, n: int) -> bool:
             and set(map(type, rows)) == {tuple} and set(map(len, rows)) == {n}
             and {type(v) for row in rows for v in row} == {int})
 
-
-def _each_word(rows: Iterable[Iterable[Hashable]], work,
-               key=None) -> dict:
-    """``work`` of each distinct cell of ``rows``, keyed by ``key(cell)``,
-    or by the cell itself when ``key`` is None.
-
-    A square holds few distinct words (at most 81 at width 4 over {0,1,2}),
-    so a pass over its cells does the work once per word and one dict
-    lookup per cell. Code words are keyed by ``_digits``: a digit tuple
-    hashes in C, a dataclass in Python. Raises TypeError for an unhashable
-    key.
-    """
-    cells = list(chain.from_iterable(rows))
-    keys = cells if key is None else map(key, cells)
-    return {k: work(c) for k, c in dict(zip(keys, cells)).items()}
-
-
-#: A code word's digit tuple, its key in ``_each_word``.
-_digits = attrgetter("digits")
 
 #: A code word's text, as ``str`` gives it, read without a call to __str__.
 _word_text = attrgetter("_text")

@@ -190,11 +190,9 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
     closes += [(minus + (j - 1) % n, col + j) for j in range(n)
                if pandiagonal or j == 0]
     diagonals, columns = (operator.itemgetter(*ends) for ends in zip(*closes))
-    # the alphabet's digits in [low, high], ascending, for lo <= low, high <= hi
-    span = hi - lo + 1
-    fitting = [tuple(d for d in digits if low <= d <= high)
-               for low in range(lo, hi + 1) for high in range(lo, hi + 1)]
-    shuffled = None if rng is None else _shuffles(rng, digits)
+    # the digits each branching cell entered tries: ascending, or shuffled
+    orderings = (itertools.repeat(digits) if rng is None
+                 else _shuffles(rng, digits))
     grid = [0] * (n * (n - 1))
     todo: list[Iterator[int] | None] = [None] * len(grid)
     k = 0
@@ -223,15 +221,8 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
             if forced:
                 # rlo == rhi == s here, so low == high == s - row if it fits
                 candidates = (low,) if low <= high and low in members else ()
-            elif rng is None:
-                if low < lo:
-                    low = lo
-                if high > hi:
-                    high = hi
-                candidates = (fitting[(low - lo) * span + high - lo]
-                              if low <= high else ())
             else:
-                candidates = next(shuffled)
+                candidates = next(orderings)
                 if low > lo or high < hi:
                     candidates = [d for d in candidates if low <= d <= high]
             todo[k] = it = iter(candidates)
@@ -294,6 +285,8 @@ def _prefix_distinct_ok(grids: list[Grid], places_left: int,
     keys = list(zip(*[itertools.chain.from_iterable(g) for g in grids]))
     budget = alphabet_size ** places_left
     if budget == 1:
+        # the count below tests the same, about 3x slower; nearly every
+        # call of a distinct search is at the last place, with budget 1
         return len(set(keys)) == len(keys)
     return max(Counter(keys).values()) <= budget
 

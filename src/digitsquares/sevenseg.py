@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .core import CodeWord, Square, _digits, _each_word
+from .core import CodeWord, Square
 
 
 class MalformedBlock(ValueError):
@@ -93,9 +93,17 @@ def render_square(square: Square) -> str:
     """The whole square as ASCII, one blank line between square rows.
 
     Each distinct word is drawn once."""
-    drawn = _each_word(square.cells, _draw_word, _digits)
-    return _layout([list(map(drawn.__getitem__, map(_digits, row)))
-                    for row in square.cells])
+    drawn: dict = {}
+    bands = []
+    for row in square.cells:
+        band = []
+        for word in row:
+            lines = drawn.get(word.digits)
+            if lines is None:
+                lines = drawn[word.digits] = _draw_word(word)
+            band.append(lines)
+        bands.append(band)
+    return _layout(bands)
 
 
 def _fit_width(width: int, words: int) -> tuple[int, int]:

@@ -11,11 +11,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import (SUM_PROPERTIES, BadBlockSize, CodeWord, InvalidState,
                    NonRotatableDigit, Square, _block_sums, _broken_diagonals,
-                   _common, _common_sums, _digits, _lines, rotate_codeword)
+                   _common, _common_sums, _lines, rotate_codeword)
+
+
+#: A code word's digit tuple, its key in a count: a tuple hashes in C.
+_digits = attrgetter("digits")
 
 
 class NotDivisible(ArithmeticError):

@@ -84,6 +84,12 @@ def test_from_strings_matches_the_cell_by_cell_reader(doc):
         assert got.cells == want.cells and got.alphabet == want.alphabet
 
 
+@pytest.mark.parametrize("rows", [[5], [["1"], 5]], ids=["row 0", "row 1"])
+def test_from_strings_raises_type_error_for_a_row_that_is_no_sequence(rows):
+    with pytest.raises(TypeError):
+        Square.from_strings(rows)
+
+
 def test_from_strings_shares_one_word_per_distinct_string():
     square = Square.from_strings([["12", "21"], ["21", "12"]])
     assert square.cells[0][0] is square.cells[1][1]
@@ -127,11 +133,17 @@ def faulty_grids(draw):
         elif rows[i]:
             j = draw(st.integers(0, len(rows[i]) - 1))
             d = draw(st.sampled_from(pool)).digits
-            rows[i][j] = {"wide": CodeWord(d + d[:1]),
-                          "narrow": CodeWord(d[1:] or d + d),
-                          "outside": CodeWord(
-                              (draw(st.sampled_from(outside)),) + d[1:]),
-                          "not a word": str(CodeWord(d))}[fault]
+            rows[i][j] = bad = {"wide": CodeWord(d + d[:1]),
+                                "narrow": CodeWord(d[1:] or d + d),
+                                "outside": CodeWord(
+                                    (draw(st.sampled_from(outside)),) + d[1:]),
+                                "not a word": str(CodeWord(d))}[fault]
+            # the same faulty object in more cells: a check that skips a
+            # word object it has seen must still name its first cell
+            for _ in range(draw(st.integers(0, 2))):
+                k = draw(st.integers(0, len(rows) - 1))
+                if rows[k]:
+                    rows[k][draw(st.integers(0, len(rows[k]) - 1))] = bad
     return tuple(map(tuple, rows)), alphabet
 
 
@@ -188,17 +200,22 @@ def test_transforms_match_the_cell_by_cell_turn(transform, digit_map,
         assert got.alphabet == want.alphabet
 
 
-@pytest.mark.parametrize("transform, place", [
+THREE = [["34", "10", "34"], ["10", "12", "10"], ["10", "34", "12"]]
+# from_strings makes one word object of "3", in cells (0, 1) and (1, 0)
+SHARED = [["1", "3"], ["3", "2"]]
+
+
+@pytest.mark.parametrize("transform, rows, place", [
     # a half turn writes source rows from the bottom up, each right to
     # left, so the first bad cell written is the one nearest the bottom right
-    (rotate_square, (2, 1)),
+    (rotate_square, THREE, (2, 1)),
+    (rotate_square, SHARED, (1, 0)),
     # a mirror keeps the rows and writes each right to left
-    (mirror_square, (0, 2)),
+    (mirror_square, THREE, (0, 2)),
+    (mirror_square, SHARED, (0, 1)),
 ])
 def test_an_unmappable_word_is_named_at_its_first_cell_written(transform,
-                                                               place):
-    rows = [["12", "10", "34"], ["10", "12", "10"], ["10", "34", "12"]]
-    rows[0][0] = "34"
+                                                               rows, place):
     with pytest.raises(UnmappableDigit) as err:
         transform(Square.from_strings(rows))
     assert (err.value.row, err.value.col) == place
