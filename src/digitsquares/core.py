@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
-from operator import attrgetter
+from operator import attrgetter, is_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -374,21 +373,19 @@ def recompose(planes: Sequence[Grid], alphabet: Alphabet | None = None, *,
     n, and ValueError for an entry that is not a digit or not in ``alphabet``:
     the Square checks the cells, as for any square.
 
-    ``words``, a WordTable, stands in for ``alphabet``: it gives the same
-    square as ``recompose(planes, words.alphabet)`` and rejects the same
-    planes with the same message. When every plane is a tuple of tuples of
-    plain ints, the cells are the table's words, checked once when the
-    table made them and not again by the Square, and each keeps its value
-    and text for the whole stream; see ``WordTable.stack``.
+    ``words`` takes only a generator stream's WordTable, in place of
+    ``alphabet``, and trusts the planes, which come from the package's own
+    plane sources (the stream re-verifies each square): the cells are the
+    table's words, checked once when the table made them and not again by
+    the Square. A digit the table refuses raises ``digit d outside alphabet
+    ...`` without its cell. See ``WordTable.stack``.
     """
     if words is None:
         return Square(_stack(planes), alphabet)
     if alphabet is not None:
         raise TypeError("recompose takes alphabet or words, not both")
-    cells = words.stack(planes)
-    if cells is None:
-        return Square(_stack(planes), words.alphabet)
-    return _unchecked(Square, cells=cells, alphabet=words.alphabet)
+    return _unchecked(Square, cells=words.stack(planes),
+                      alphabet=words.alphabet)
 
 
 def _stack(planes: Sequence[Grid]) -> tuple[tuple[CodeWord, ...], ...]:
@@ -483,12 +480,10 @@ class WordTable(dict):
     def __init__(self, alphabet: Alphabet):
         super().__init__()
         self.alphabet = alphabet
-        # the planes of the last stack, all checked and held so that no
-        # other plane takes their place in memory, and their count and order
-        self._planes: tuple[Grid, ...] = ()
-        self._shape: tuple[int, int] | None = None
-        # per row index, the rows of the leading planes and the memo of the
-        # rows stacked under them
+        # the leading planes of the last stack, held so that no other plane
+        # takes their place in memory, and per row index their rows and the
+        # memo of the last-plane rows stacked under them
+        self._lead: tuple[Grid, ...] = ()
         self._rows: list[tuple[tuple[tuple[int, ...], ...], dict]] = []
 
     def __missing__(self, digits: tuple[int, ...]) -> CodeWord:
@@ -500,53 +495,29 @@ class WordTable(dict):
         return word
 
     def stack(self, planes: Sequence[Grid]
-              ) -> tuple[tuple[CodeWord, ...], ...] | None:
-        """The cells of the stacked planes as this table's words, or None
-        unless every plane is a tuple of n tuples of n plain ints whose
-        digit tuples the table takes.
+              ) -> tuple[tuple[CodeWord, ...], ...]:
+        """The cells of a generator source's planes as this table's words.
 
-        Planes of that type cannot change, so a plane that is the very
-        object in its place in the call before is not checked again. A
-        stream varies its last plane fastest: while the planes before it
-        stay the same objects, each distinct row of the last plane is
-        stacked under them once, and its tuple of words is kept in a memo
-        per row index. Another lead empties the memo, so it never holds
-        more than n rows per distinct row of the last plane.
+        The planes are trusted, and only a new word is checked, by the
+        lookup. A stream varies its last plane fastest: each distinct row of
+        it is stacked once per run of the same lead objects and order, and
+        kept in a memo per row index.
         """
-        planes = tuple(planes)
-        n = len(planes[0]) if planes else 0
-        before = self._planes if (len(planes), n) == self._shape else ()
-        kept = [a is b for a, b in zip_longest(planes, before)]
-        new = [plane for plane, k in zip(planes, kept) if not k]
-        if not planes or (new and not _plain_grids(new, n)):
-            return None
-        if not (before and all(kept[:-1])):
-            lead = planes[:-1]
-            self._rows = [(above, {})
-                          for above in (zip(*lead) if lead else [()] * n)]
-        self._planes, self._shape = planes, (len(planes), n)
+        lead, last = planes[:-1], planes[-1]
+        n = len(last)
+        if (n != len(self._rows) or len(lead) != len(self._lead)
+                or not all(map(is_, lead, self._lead))):
+            self._lead = lead
+            self._rows = [(above, {}) for above in
+                          (zip(*lead) if lead else [()] * n)]
         rows = []
-        for (above, memo), row in zip(self._rows, planes[-1]):
+        for (above, memo), row in zip(self._rows, last):
             words = memo.get(row)
             if words is None:
-                try:
-                    words = tuple(map(self.__getitem__, zip(*above, row)))
-                except ValueError:
-                    # a word the table refuses: the public path names its cell
-                    return None
-                memo[row] = words
+                words = memo[row] = tuple(map(self.__getitem__,
+                                              zip(*above, row)))
             rows.append(words)
         return tuple(rows)
-
-
-def _plain_grids(planes: list, n: int) -> bool:
-    # tuples of n tuples of n ints, bool and other subclasses excluded:
-    # planes that cannot change and whose digits find their own words
-    rows = [row for plane in planes if type(plane) is tuple and len(plane) == n
-            for row in plane]
-    return (len(rows) == n * len(planes)
-            and set(map(type, rows)) == {tuple} and set(map(len, rows)) == {n}
-            and {type(v) for row in rows for v in row} == {int})
 
 
 #: A code word's text, as ``str`` gives it, read without a call to __str__.
@@ -556,7 +527,7 @@ _word_text = attrgetter("_text")
 def _unchecked(cls, **fields):
     # a frozen dataclass instance made without __post_init__, for the two
     # squares that are valid by construction: the image of a checked square
-    # under a digit map, and a square stacked from a WordTable's words
+    # under a digit map, and a stream's square from its WordTable's words
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

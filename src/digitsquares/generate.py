@@ -379,13 +379,12 @@ def _square_stream(spec: SearchSpec,
     """The one emit loop of every search and construction.
 
     Each plane tuple from ``plane_source(spec, deadline)`` is stacked by
-    ``recompose`` from a word table kept for the life of the stream, so
-    each distinct cell is made and checked against ``alphabet`` once and
-    the square's cells are not checked again. The planes vary the last
-    place fastest, so the table stacks each distinct row once per run of
-    the same leading planes. ``_reverify`` then checks
-    the cells' values, which each word of the table works out once per
-    stream, and the square is yielded and counted against the limit.
+    ``recompose`` from a word table kept for the life of the stream, which
+    trusts the source's planes: each distinct cell is made and checked
+    against ``alphabet`` once, and each distinct row of the last plane once
+    per run of the same leading planes. ``_reverify`` then checks the
+    cells' values, which each word works out once per stream, and the
+    square is yielded and counted against the limit.
     """
     what = "bimagic square" if spec.bimagic else "square"
     deadline = (None if spec.budget_ms is None

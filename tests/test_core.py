@@ -322,11 +322,15 @@ def test_recompose_from_a_word_table_is_recompose(lo_shu):
     assert recompose(planes, words=table).alphabet == lo_shu.alphabet
     with pytest.raises(TypeError, match="not both"):
         recompose(planes, lo_shu.alphabet, words=table)
+    # the public path checks the planes the table trusts
     with pytest.raises(ShapeMismatch):
-        recompose([planes[0], ((1,),)], words=table)
-    # a word the table refuses is named by its cell, as without the table
+        recompose([planes[0], ((1,),)], lo_shu.alphabet)
     with pytest.raises(ValueError, match=re.escape(
             "digit 3 in cell (0, 0) outside alphabet 012")):
+        recompose((((3, 0, 1),) * 3,), lo_shu.alphabet)
+    # a word the table refuses has the table's message, without its cell
+    with pytest.raises(ValueError, match=re.escape(
+            "digit 3 outside alphabet 012")):
         recompose((((3, 0, 1),) * 3,), words=table)
 
 
@@ -334,11 +338,11 @@ def test_recompose_from_a_word_table_is_recompose(lo_shu):
 def test_recompose_rejects_digits_that_are_not_ints(digit):
     table = WordTable(Alphabet((0, 1, 2)))
     assert recompose((((1,),),), words=table).cells == ((word("1"),),)
-    # (digit,) == (1,), so a lookup in the table would find the word of 1
-    for words in (None, table):
+    # (digit,) == (1,): the public path rejects what a lookup would take
+    for alphabet in (None, table.alphabet):
         with pytest.raises(ValueError, match=re.escape(
                 f"not a decimal digit: {digit!r}")):
-            recompose((((digit,),),), words=words)
+            recompose((((digit,),),), alphabet)
     with pytest.raises(ValueError, match="not a decimal digit"):
         CodeWord((0, digit))
 

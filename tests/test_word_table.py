@@ -1,19 +1,19 @@
 """The emit loop's stacking of planes from one long-lived word table,
 against the public path ``recompose(planes, alphabet)``.
 
-A table trusts a plane that is the very object in its place in the call
-before, and keeps, while the leading planes stay the same, the stacked row
-of words of each distinct row of the last plane. Plane tuples from the
-real sources go through one table for every spec, so the lead changes
-within a stream and between streams of other orders and widths.
+A table trusts the planes of the generator's own sources and checks only
+each new word. While the leading planes are the same objects and the order
+the same, it keeps the stacked row of words of each distinct row of the
+last plane. Plane tuples from the real sources go through one table for
+every spec, so the lead changes within a stream and between streams of
+other orders and widths, and width-1 streams of other orders change the
+order under an empty lead.
 """
 
 import itertools
 from operator import is_
 
-import pytest
-
-from digitsquares import Alphabet, SearchSpec, ShapeMismatch, recompose
+from digitsquares import Alphabet, SearchSpec, recompose
 from digitsquares.core import WordTable
 from digitsquares.generate import _bimagic_planes, _layer_planes
 
@@ -31,13 +31,12 @@ SPECS = [
                distinct=True, deterministic=True),
     SearchSpec(order=9, width=4, bimagic=True, seed=7),
     SearchSpec(order=9, width=4, bimagic=True, deterministic=True),
+    # no lead: only the order tells these streams' memos apart
+    SearchSpec(order=3, width=1, line_sums=(3,), deterministic=True),
+    SearchSpec(order=4, width=1, line_sums=(4,), seed=9),
+    SearchSpec(order=5, width=1, line_sums=(5,), seed=4),
+    SearchSpec(order=4, width=1, line_sums=(4,), seed=11),
 ]
-
-
-def spec_with(**fields):
-    """The first of SPECS with these fields."""
-    return next(spec for spec in SPECS
-                if all(getattr(spec, k) == v for k, v in fields.items()))
 
 
 def source(spec, count):
@@ -82,111 +81,3 @@ def test_one_table_stacks_every_source_as_the_public_path_does():
     # rows came from the memo
     assert leads > 10 * len(SPECS)
     assert reused > rows / 2
-
-
-def the_entry(plane, wanted):
-    """The place (i, j) of the first entry of plane in wanted."""
-    return next((i, j) for i, row in enumerate(plane)
-                for j, v in enumerate(row) if v in wanted)
-
-
-def with_entry(plane, i, j, value):
-    rows = [list(row) for row in plane]
-    rows[i][j] = value
-    return tuple(map(tuple, rows))
-
-
-def float_entry(plane):
-    # 1.0 == 1 and hashes as 1, so a lookup would find the word of 1
-    i, j = the_entry(plane, (0, 1, 2))
-    return with_entry(plane, i, j, float(plane[i][j]))
-
-
-def bool_entry(plane):
-    i, j = the_entry(plane, (0, 1))
-    return with_entry(plane, i, j, bool(plane[i][j]))
-
-
-def outside_entry(plane):
-    return with_entry(plane, len(plane) - 1, 0, 3)
-
-
-def list_row(plane):
-    return (list(plane[0]), *plane[1:])
-
-
-def short_row(plane):
-    return (plane[0][:-1], *plane[1:])
-
-
-def extra_row(plane):
-    return (*plane, plane[0])
-
-
-CORRUPTIONS = [float_entry, bool_entry, outside_entry, list_row, short_row,
-               extra_row]
-
-
-def outcome(planes, **how):
-    """The square recompose makes, or the class and message it raises."""
-    try:
-        return recompose(planes, **how)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("spec", [
-    spec_with(width=4, deterministic=True),
-    spec_with(width=2, deterministic=False),
-    spec_with(bimagic=True, deterministic=True),
-], ids=["width 4", "width 2", "bimagic"])
-def test_a_last_plane_under_a_cached_lead_is_judged_as_in_public(spec,
-                                                                 corrupt):
-    table = WordTable(ALPHABET)
-    for planes in source(spec, 5):
-        # the second call under a lead starts its memo
-        for _ in range(2):
-            assert recompose(planes, words=table) == recompose(planes,
-                                                               ALPHABET)
-        bad = (*planes[:-1], corrupt(planes[-1]))
-        got, want = outcome(bad, words=table), outcome(bad, alphabet=ALPHABET)
-        assert got == want
-        if corrupt in (short_row, extra_row):
-            assert got[0] is ShapeMismatch
-        elif corrupt is not list_row:
-            assert got[0] is ValueError
-        # the rejected plane left nothing behind
-        assert recompose(planes, words=table) == recompose(planes, ALPHABET)
-
-
-def test_a_plane_in_a_list_is_checked_on_every_call():
-    # a list can change between two calls while staying the same object
-    table = WordTable(ALPHABET)
-    planes = source(spec_with(width=4, deterministic=True), 1)[0]
-    lead = list(planes[0])
-    stacked = [lead, *planes[1:]]
-    for _ in range(2):
-        assert recompose(stacked, words=table) == recompose(planes, ALPHABET)
-    lead[0] = float_entry(planes[0])[0]
-    with pytest.raises(ValueError, match="not a decimal digit: "):
-        recompose(stacked, words=table)
-    # likewise a list of planes whose lead is swapped in place
-    stacked = list(planes)
-    for _ in range(2):
-        recompose(stacked, words=table)
-    stacked[0] = bool_entry(planes[0])
-    with pytest.raises(ValueError, match="not a decimal digit: (True|False)"):
-        recompose(stacked, words=table)
-
-
-def test_a_plane_kept_from_a_call_of_another_order_is_checked_again():
-    table = WordTable(ALPHABET)
-    order_4 = source(spec_with(order=4, width=2), 1)[0]
-    order_3 = source(spec_with(order=3, width=2), 1)[0]
-    for mixed in ((order_3[0], order_4[1]), (order_4[0], order_3[1])):
-        recompose(order_4, words=table)
-        # plane 1, or plane 0, is the very object of the call before
-        got = outcome(mixed, words=table)
-        assert got == outcome(mixed, alphabet=ALPHABET)
-        assert got[0] is ShapeMismatch
