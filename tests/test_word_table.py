@@ -7,13 +7,18 @@ the same, it keeps the stacked row of words of each distinct row of the
 last plane. Plane tuples from the real sources go through one table for
 every spec, so the lead changes within a stream and between streams of
 other orders and widths, and width-1 streams of other orders change the
-order under an empty lead.
+order under an empty lead. A plane no source makes is judged by the public
+path whatever the table holds, and a word the table refuses is never
+entered in it or in its memo.
 """
 
 import itertools
+import re
 from operator import is_
 
-from digitsquares import Alphabet, SearchSpec, recompose
+import pytest
+
+from digitsquares import Alphabet, SearchSpec, ShapeMismatch, recompose
 from digitsquares.core import WordTable
 from digitsquares.generate import _bimagic_planes, _layer_planes
 
@@ -37,6 +42,12 @@ SPECS = [
     SearchSpec(order=5, width=1, line_sums=(5,), seed=4),
     SearchSpec(order=4, width=1, line_sums=(4,), seed=11),
 ]
+
+
+def spec_with(**fields):
+    """The first of SPECS with these fields."""
+    return next(spec for spec in SPECS
+                if all(getattr(spec, k) == v for k, v in fields.items()))
 
 
 def source(spec, count):
@@ -81,3 +92,105 @@ def test_one_table_stacks_every_source_as_the_public_path_does():
     # rows came from the memo
     assert leads > 10 * len(SPECS)
     assert reused > rows / 2
+
+
+def the_entry(plane, wanted):
+    """The place (i, j) of the first entry of plane in wanted."""
+    return next((i, j) for i, row in enumerate(plane)
+                for j, v in enumerate(row) if v in wanted)
+
+
+def with_entry(plane, i, j, value):
+    rows = [list(row) for row in plane]
+    rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+def float_entry(plane):
+    # 1.0 == 1 and hashes as 1, so a lookup would find the word of 1
+    i, j = the_entry(plane, (0, 1, 2))
+    value = float(plane[i][j])
+    return with_entry(plane, i, j, value), (
+        ValueError, f"not a decimal digit: {value!r}")
+
+
+def bool_entry(plane):
+    i, j = the_entry(plane, (0, 1))
+    value = bool(plane[i][j])
+    return with_entry(plane, i, j, value), (
+        ValueError, f"not a decimal digit: {value!r}")
+
+
+def outside_entry(plane):
+    n = len(plane)
+    return with_entry(plane, n - 1, 0, 3), (
+        ValueError, f"digit 3 in cell ({n - 1}, 0) outside alphabet 012")
+
+
+def list_row(plane):
+    # a list row holds the same digits: the public path takes it
+    return (list(plane[0]), *plane[1:]), None
+
+
+def short_row(plane):
+    return (plane[0][:-1], *plane[1:]), (ShapeMismatch, None)
+
+
+def extra_row(plane):
+    return (*plane, plane[0]), (ShapeMismatch, None)
+
+
+CORRUPTIONS = [float_entry, bool_entry, outside_entry, list_row, short_row,
+               extra_row]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec", [
+    spec_with(width=4, deterministic=True),
+    spec_with(width=2, deterministic=False),
+    spec_with(bimagic=True, deterministic=True),
+], ids=["width 4", "width 2", "bimagic"])
+def test_a_corrupt_last_plane_of_a_source_is_judged_in_public(spec, corrupt):
+    # the table trusts its source's planes; a plane no source makes goes
+    # the public path, which checks it whatever the table holds
+    table = WordTable(ALPHABET)
+    for planes in source(spec, 5):
+        square = recompose(planes, words=table)
+        assert square == recompose(planes, ALPHABET)
+        last, fault = corrupt(planes[-1])
+        bad = (*planes[:-1], last)
+        if fault is None:
+            assert recompose(bad, ALPHABET) == square
+            continue
+        kind, message = fault
+        with pytest.raises(kind) as caught:
+            recompose(bad, ALPHABET)
+        assert type(caught.value) is kind
+        if message is not None:
+            assert str(caught.value) == message
+        # the public call left the table as it was
+        assert recompose(planes, words=table) == square
+
+
+@pytest.mark.parametrize("digits, message", [
+    ((3,), "digit 3 outside alphabet 012"),
+    ((0, 3), "digit 3 outside alphabet 012"),
+    ((10,), "not a decimal digit: 10"),
+    ((-1,), "not a decimal digit: -1"),
+    ((True,), "not a decimal digit: True"),
+    ((1.0,), "not a decimal digit: 1.0"),
+], ids=["outside", "outside second", "ten", "negative", "bool", "float"])
+def test_a_word_the_table_refuses_is_never_entered(digits, message):
+    table = WordTable(ALPHABET)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        table[digits]
+    assert len(table) == 0
+    # the same word as the one cell of order-1 planes: no entry, no memo row
+    planes = tuple(((d,),) for d in digits)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        table.stack(planes)
+    assert len(table) == 0
+    assert memo_rows(table) == [set()]
+    # the table goes on to stack good planes under the same lead
+    good = (*planes[:-1], ((0,),))
+    assert recompose(good, words=table) == recompose(good, ALPHABET)
