@@ -309,9 +309,8 @@ def _parse_line_sums(raw: str, width: int) -> tuple[int, ...]:
         values = tuple(_integer(p) for p in parts)
     except argparse.ArgumentTypeError:
         raise DocumentError(f"--line-sum must be integers, got {raw!r}") from None
-    if len(values) == 1:
-        return values * width
-    if len(values) != width:
+    # one value stands for every place; SearchSpec expands it
+    if len(values) not in (1, width):
         raise DocumentError(
             f"--line-sum needs 1 or {width} values, got {len(values)}")
     return values

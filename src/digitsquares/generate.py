@@ -25,7 +25,6 @@ import functools
 import itertools
 import operator
 import random
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -36,9 +35,11 @@ from .core import (Alphabet, BudgetExhausted, CodeWord, Grid, Square,
                    _common_sums, _lines, recompose)
 
 
-# frames kept free for the caller of a search and the search's own fixed
-# frames; the CLI needs 12 of them
-_CALLER_FRAMES = 30
+# the largest order and number of searched digit places a layer search
+# takes, checked before anything is built; the largest each could be under
+# the recursion-limit rule these replace, so no request it took is refused
+_MAX_ORDER = 31
+_MAX_PLACES = 961
 
 
 class _DeadlineHit(Exception):
@@ -51,10 +52,11 @@ class SearchSpec:
     """What to search for.
 
     ``line_sums`` gives the target line sum of each digit plane, most
-    significant place first; all 2n+2 lines of every plane (and every
-    wrap-around diagonal, when ``pandiagonal`` is set) must hit it.
-    With ``bimagic`` the only supported shape is order 9, width 4 over
-    {0, 1, 2}, and ``line_sums`` defaults to (9, 9, 9, 9).
+    significant place first, or one sum for every place; all 2n+2 lines of
+    every plane (and every wrap-around diagonal, when ``pandiagonal`` is
+    set) must hit it. With ``bimagic`` the only supported shape is order 9,
+    width 4 over {0, 1, 2}; the spec's alphabet is then (0, 1, 2) and
+    ``line_sums`` defaults to (9, 9, 9, 9).
 
     ``deterministic`` makes the stream the lexicographically ordered one;
     otherwise the branching order is shuffled by a generator seeded from
@@ -62,11 +64,10 @@ class SearchSpec:
     is rejected with ValueError: ``random.Random`` seeds with its absolute
     value, so it would repeat the positive seed's stream.
 
-    A spec whose searched width plus order**2 passes
-    ``sys.getrecursionlimit()`` less ``_CALLER_FRAMES`` is rejected with
-    ValueError. No search nests that deep now: the rule is only an upper
-    bound on order**2 plus width, kept until seeded searches can restart.
-    Searches stall below it too; ``budget_ms`` bounds a search's time.
+    A layer search of order above 31, or of more than 961 searched places
+    (half the width when ``palindromic``), is rejected with ValueError
+    before anything is built. Searches stall below these bounds too;
+    ``budget_ms`` bounds a search's time.
     """
 
     order: int
@@ -93,6 +94,15 @@ class SearchSpec:
             raise ValueError("seed must not be negative")
         if self.budget_ms is not None and self.budget_ms < 0:
             raise ValueError("budget must not be negative")
+        if not self.bimagic and (
+                self.order > _MAX_ORDER
+                or (self.width // 2 if self.palindromic else self.width)
+                > _MAX_PLACES):
+            raise ValueError(
+                f"order {self.order} with width {self.width} is too large a "
+                f"search: the order may be at most {_MAX_ORDER} and the "
+                f"searched places (half the width when palindromic) at most "
+                f"{_MAX_PLACES}")
         if self.bimagic:
             if (self.order, self.width) != (9, 4):
                 raise ValueError("bimagic search supports only order 9, width 4")
@@ -103,30 +113,22 @@ class SearchSpec:
                                  "(extend a bimagic square instead)")
             if self.pandiagonal:
                 raise ValueError("bimagic search does not offer pandiagonality")
+            object.__setattr__(self, "alphabet", Alphabet((0, 1, 2)))
             if self.line_sums is None:
                 object.__setattr__(self, "line_sums", (9, 9, 9, 9))
-            elif self.line_sums != (9, 9, 9, 9):
-                raise ValueError("bimagic squares over {0,1,2} force line sums "
-                                 "(9, 9, 9, 9)")
-        else:
-            if self.line_sums is None:
-                raise ValueError("line_sums is required")
-            if len(self.line_sums) != self.width:
-                raise ValueError(f"need {self.width} line sums, "
-                                 f"got {len(self.line_sums)}")
+        elif self.line_sums is None:
+            raise ValueError("line_sums is required")
+        if len(self.line_sums) == 1:
+            # one sum for every place, expanded only within the bounds
+            object.__setattr__(self, "line_sums", self.line_sums * self.width)
+        if self.bimagic and self.line_sums != (9, 9, 9, 9):
+            raise ValueError("bimagic squares over {0,1,2} force line sums "
+                             "(9, 9, 9, 9)")
+        if len(self.line_sums) != self.width:
+            raise ValueError(f"need {self.width} line sums, "
+                             f"got {len(self.line_sums)}")
         if self.palindromic and self.width % 2 != 0:
             raise ValueError("palindromic cells need an even width")
-        if not self.bimagic:
-            # an upper bound on order**2 plus the searched width: the
-            # recursion limit less 30; it keeps no search from stalling
-            depth = ((self.width // 2 if self.palindromic else self.width)
-                     + self.order ** 2)
-            limit = sys.getrecursionlimit()
-            if depth > limit - _CALLER_FRAMES:
-                raise ValueError(
-                    f"order {self.order} with width {self.width} searches "
-                    f"{depth} frames deep; the recursion limit {limit} "
-                    f"allows {limit - _CALLER_FRAMES}")
 
     @functools.cached_property
     def s1(self) -> int:
@@ -367,13 +369,12 @@ def gen_square(spec: SearchSpec,
         if pool < n * n:
             raise Unsatisfiable(
                 f"only {pool} distinct cells are available but {n * n} are needed")
-    return _square_stream(spec, _layer_planes, spec.alphabet, on_budget)
+    return _square_stream(spec, _layer_planes, on_budget)
 
 
 def _square_stream(spec: SearchSpec,
                    plane_source: Callable[[SearchSpec, float | None],
                                           Iterator[tuple[Grid, ...]]],
-                   alphabet: Alphabet,
                    on_budget: Callable[[int], None] | None = None
                    ) -> Iterator[Square]:
     """The one emit loop of every search and construction.
@@ -381,15 +382,15 @@ def _square_stream(spec: SearchSpec,
     Each plane tuple from ``plane_source(spec, deadline)`` is stacked by
     ``recompose`` from a word table kept for the life of the stream, which
     trusts the source's planes: each distinct cell is made and checked
-    against ``alphabet`` once, and each distinct row of the last plane once
-    per run of the same leading planes. ``_reverify`` then checks the
+    against the spec's alphabet once, and each distinct row of the last
+    plane once per run of the same leading planes. ``_reverify`` then checks the
     cells' values, which each word works out once per stream, and the
     square is yielded and counted against the limit.
     """
     what = "bimagic square" if spec.bimagic else "square"
     deadline = (None if spec.budget_ms is None
                 else time.monotonic() + spec.budget_ms / 1000.0)
-    words = WordTable(alphabet)
+    words = WordTable(spec.alphabet)
     emitted = 0
     try:
         for planes in plane_source(spec, deadline):
@@ -413,29 +414,18 @@ def _square_stream(spec: SearchSpec,
 
 def _layer_planes(spec: SearchSpec, deadline: float | None
                   ) -> Iterator[tuple[Grid, ...]]:
-    # the lazy product of one layer stream per searched digit place. A
-    # place's stream is the same on every pass (its generator is seeded the
-    # same way each time), so it is searched on its first pass, searched
-    # and recorded on the pass after its first run-out, and replayed from
-    # the record after that, with the deadline tested once per replayed
-    # grid. Recording waits for a second pass, so a request that never
-    # restarts a place keeps none of the grids its one pass walks. A record
-    # holds at most all of the place's layers, each row stored once and
-    # shared between them.
-    n = spec.order
-    if spec.palindromic:
-        search_width = spec.width // 2
-        sums = spec.line_sums[:search_width]
-    else:
-        search_width = spec.width
-        sums = spec.line_sums
+    # the lazy product of one layer stream per searched digit place, walked
+    # by one loop over a stack of the open streams, one per place up to the
+    # one being drawn from. A place's stream is the same on every pass (its
+    # generator is seeded the same way each time), so it is searched on its
+    # first pass, searched and recorded on the pass after its first run-out,
+    # and replayed from the record after that, with the deadline tested once
+    # per replayed grid. Recording waits for a second pass, so a request
+    # that never restarts a place keeps none of the grids its one pass
+    # walks. A record holds at most all of the place's layers, each row
+    # stored once and shared between them.
+    search_width = spec.width // 2 if spec.palindromic else spec.width
     asize = len(spec.alphabet)
-    grids: list[Grid] = []
-
-    def rng_for(place: int) -> random.Random | None:
-        if spec.deterministic:
-            return None
-        return random.Random(spec.seed * 65537 + place)
 
     # per place: the passes that ran out, and the record of its layers
     ran_out = [0] * search_width
@@ -449,9 +439,11 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
                     raise _DeadlineHit
                 yield grid
             return
-        stream = _layer_stream(n, spec.alphabet, sums[place],
-                               pandiagonal=spec.pandiagonal,
-                               rng=rng_for(place), deadline=deadline)
+        rng = (None if spec.deterministic
+               else random.Random(spec.seed * 65537 + place))
+        stream = _layer_stream(spec.order, spec.alphabet, spec.line_sums[place],
+                               pandiagonal=spec.pandiagonal, rng=rng,
+                               deadline=deadline)
         if ran_out[place]:
             rows: dict[tuple[int, ...], tuple[int, ...]] = {}
             for grid in stream:
@@ -462,20 +454,27 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
             yield from stream
         ran_out[place] += 1
 
-    def rec(place: int) -> Iterator[tuple[Grid, ...]]:
-        if place == search_width:
+    # the layer drawn at each place below the top stream's
+    grids: list[Grid] = []
+    streams = [layers(0)]
+    while streams:
+        grid = next(streams[-1], None)
+        if grid is None:
+            # the top place ran out: drop the layer drawn below it, if any,
+            # so the place below draws its next
+            streams.pop()
+            del grids[-1:]
+            continue
+        grids.append(grid)
+        if spec.distinct and not _prefix_distinct_ok(
+                grids, search_width - len(grids), asize):
+            grids.pop()
+        elif len(grids) < search_width:
+            streams.append(layers(len(grids)))
+        else:
             # the mirrored planes make every cell w + reverse(w)
             yield (*grids, *grids[::-1]) if spec.palindromic else tuple(grids)
-            return
-        for grid in layers(place):
-            grids.append(grid)
-            if (not spec.distinct
-                    or _prefix_distinct_ok(grids, search_width - place - 1,
-                                           asize)):
-                yield from rec(place + 1)
             grids.pop()
-
-    return rec(0)
 
 
 def bimagic_search(spec: SearchSpec,
@@ -496,8 +495,7 @@ def bimagic_search(spec: SearchSpec,
     aligned 3x3 block the sum 9999, and full rank makes all 81 cells
     distinct. Every square is still re-verified before it is emitted.
     """
-    return _square_stream(spec, _bimagic_planes, Alphabet((0, 1, 2)),
-                          on_budget)
+    return _square_stream(spec, _bimagic_planes, on_budget)
 
 
 def _bimagic_planes(spec: SearchSpec, deadline: float | None

@@ -113,16 +113,11 @@ def _fit_width(width: int, words: int) -> tuple[int, int]:
     only on its left edge), never more, and valid widths are at least four
     apart, so rounding up to the next fitting width is unambiguous.
     """
-    if words == 1:
-        for w in range(width, width + 4):
-            if w % 4 == 3:
-                return (w + 1) // 4, w
-    else:
-        for w in range(width, width + 4 * words + 1):
-            if (w + 2 - words) % (4 * words) == 0:
-                digits = (w + 2 - words) // (4 * words)
-                if digits >= 1:
-                    return digits, w
+    for w in range(width, width + 4 * words + 1):
+        if (w + 2 - words) % (4 * words) == 0:
+            digits = (w + 2 - words) // (4 * words)
+            if digits >= 1:
+                return digits, w
     raise MalformedBlock(
         f"line width {width} does not fit {words} code words")
 

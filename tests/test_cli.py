@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -73,6 +74,13 @@ def test_verify_json_report(capsys, ext_path):
     assert payload["magic"] is True
     assert payload["entries"]["palindromic"] is True
     assert len(payload["lines"]) == 8
+    assert "checks" not in payload
+    code, out, _ = run(capsys, "verify", "--format", "json", "--magic",
+                       "--bimagic", "--blocks", "3", ext_path)
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "magic", "ok": True}, {"name": "bimagic", "ok": False},
+        {"name": "blocks 3", "ok": True}]
 
 
 def test_verify_checks_set_the_exit_code(capsys, ext_path):
@@ -851,6 +859,75 @@ def run_child(*argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+BOUNDS = ("is too large a search: the order may be at most 31 and the "
+          "searched places (half the width when palindromic) at most 961")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # the command line's own
+    ([], 2, "error: --line-sum is required unless --bimagic is set"),
+    (["--line-sum", "3,x"], 2, "error: --line-sum must be integers, got '3,x'"),
+    (["--width", "2", "--line-sum", "3,3,3"], 2,
+     "error: --line-sum needs 1 or 2 values, got 3"),
+    (["--alphabet", "00", "--line-sum", "0"], 2,
+     "error: alphabet has repeated digits: (0, 0)"),
+    # SearchSpec's
+    (["--order", "2", "--line-sum", "2"], 2,
+     "error: order must be at least 3, got 2"),
+    (["--width", "0", "--line-sum", "3"], 2,
+     "error: width must be at least 1, got 0"),
+    (["--line-sum", "3", "--limit", "0"], 2,
+     "error: limit must be at least 1, got 0"),
+    (["--line-sum", "3", "--seed", "-1"], 2,
+     "error: seed must not be negative"),
+    (["--line-sum", "3", "--budget-ms", "-1"], 2,
+     "error: budget must not be negative"),
+    (["--order", "32", "--width", "1", "--line-sum", "32"], 2,
+     f"error: order 32 with width 1 {BOUNDS}"),
+    (["--width", "962", "--line-sum", "3"], 2,
+     f"error: order 3 with width 962 {BOUNDS}"),
+    (["--width", "1924", "--line-sum", "3", "--palindromic"], 2,
+     f"error: order 3 with width 1924 {BOUNDS}"),
+    (["--order", "8", "--width", "4", "--bimagic"], 2,
+     "error: bimagic search supports only order 9, width 4"),
+    (["--order", "9", "--width", "4", "--bimagic", "--alphabet", "013"], 2,
+     "error: bimagic search supports only the {0,1,2} alphabet"),
+    (["--order", "9", "--width", "4", "--bimagic", "--palindromic"], 2,
+     "error: bimagic and palindromic cannot be combined "
+     "(extend a bimagic square instead)"),
+    (["--order", "9", "--width", "4", "--bimagic", "--pandiagonal"], 2,
+     "error: bimagic search does not offer pandiagonality"),
+    (["--order", "9", "--width", "4", "--bimagic", "--line-sum", "8"], 2,
+     "error: bimagic squares over {0,1,2} force line sums (9, 9, 9, 9)"),
+    (["--width", "3", "--line-sum", "3", "--palindromic"], 2,
+     "error: palindromic cells need an even width"),
+    # gen_square's, before any search
+    (["--line-sum", "7"], 3,
+     "no squares: line sum 7 at place 0 is outside [0, 6] for order 3 "
+     "over 012"),
+    (["--width", "2", "--line-sum", "3,6", "--palindromic"], 3,
+     "no squares: palindromic cells force mirror-symmetric line sums, "
+     "got (3, 6)"),
+    (["--line-sum", "3", "--distinct"], 3,
+     "no squares: only 3 distinct cells are available but 9 are needed"),
+])
+def test_every_generate_refusal(capsys, argv, code, message):
+    assert run(capsys, "generate", *argv) == (code, "", message + "\n")
+
+
+def test_a_refused_wide_request_builds_nothing(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["generate", "--width", "10000000", "--line-sum", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "order 3 with width 10000000" in capsys.readouterr().err
+    # one tuple of the line sums would take 80 MB
+    assert peak < 5_000_000
+
+
 @pytest.mark.parametrize("order, width", [("34", "1"), ("3", "1200")])
 def test_generate_too_deep_search_exits_2(order, width):
     proc = run_child("generate", "--order", order, "--width", width,
@@ -858,13 +935,12 @@ def test_generate_too_deep_search_exits_2(order, width):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert f"order {order} with width {width}" in proc.stderr
-    assert "recursion limit 1000" in proc.stderr
+    assert proc.stderr == f"error: order {order} with width {width} {BOUNDS}\n"
 
 
 @pytest.mark.parametrize("order, width", [("31", "1"), ("3", "961")])
 def test_generate_deepest_allowed_search_runs(order, width):
-    # 31 * 31 + 1 and 3 * 3 + 961 frames: up to the deepest the check lets by
+    # the largest order, and the most searched places, the bounds let by
     proc = run_child("generate", "--order", order, "--width", width,
                      "--line-sum", order, "--format", "json")
     assert proc.returncode == 0, proc.stderr
@@ -881,6 +957,11 @@ def test_generate_bimagic(capsys, tmp_path):
                        "--distinct", str(out_path))
     assert code == 0
     assert "s2: 17169495" in out
+    # the construction's alphabet is 012, in whatever order it was asked for
+    code, out, _ = run(capsys, "generate", "--order", "9", "--width", "4",
+                       "--bimagic", "--alphabet", "210", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["alphabet"] == "012"
 
 
 @pytest.mark.parametrize("seed,digest", [

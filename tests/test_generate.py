@@ -233,8 +233,7 @@ def test_the_distinct_pool_rule_rejects_only_what_the_search_exhausts(
                 searched += 1
                 with pytest.raises(Unsatisfiable, match="search space "
                                                         "exhausted"):
-                    next(generate._square_stream(spec, generate._layer_planes,
-                                                 alpha))
+                    next(generate._square_stream(spec, generate._layer_planes))
     assert searched > 40
 
 
@@ -254,8 +253,12 @@ def test_gen_square_budget_zero():
 def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(order=2, width=1, line_sums=(1,))
-    with pytest.raises(ValueError):
-        SearchSpec(order=3, width=2, line_sums=(3,))
+    with pytest.raises(ValueError, match="^need 2 line sums, got 3$"):
+        SearchSpec(order=3, width=2, line_sums=(3, 3, 3))
+    # one sum stands for every place
+    assert SearchSpec(order=3, width=2, line_sums=(3,)).line_sums == (3, 3)
+    with pytest.raises(ValueError, match="^line_sums is required$"):
+        SearchSpec(order=3, width=1)
     with pytest.raises(ValueError):
         SearchSpec(order=3, width=1, line_sums=(3,), limit=0)
     # random.Random seeds with abs(seed): seed -1 would repeat seed 1
@@ -271,25 +274,53 @@ def test_search_spec_validation():
         SearchSpec(order=9, width=4, bimagic=True, palindromic=True)
     with pytest.raises(ValueError):
         SearchSpec(order=9, width=4, bimagic=True, line_sums=(9, 9, 9, 8))
+    # a bimagic spec is over (0, 1, 2), whatever order its digits came in
+    spec = SearchSpec(order=9, width=4, bimagic=True,
+                      alphabet=Alphabet((2, 1, 0)))
+    assert (spec.alphabet, spec.line_sums) == (A012, (9, 9, 9, 9))
 
 
-def test_search_spec_rejects_searches_deeper_than_the_recursion_limit(
-        monkeypatch):
-    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 1000)
-    SearchSpec(order=31, width=9, line_sums=(31,) * 9)
-    with pytest.raises(ValueError, match="order 31 with width 10 .* 1000"):
-        SearchSpec(order=31, width=10, line_sums=(31,) * 10)
-    with pytest.raises(ValueError, match="order 3 with width 1200"):
-        SearchSpec(order=3, width=1200, line_sums=(3,) * 1200)
-    # palindromic cells search only the first half of the places
-    SearchSpec(order=31, width=18, line_sums=(31,) * 18, palindromic=True)
-    with pytest.raises(ValueError):
-        SearchSpec(order=31, width=20, line_sums=(31,) * 20, palindromic=True)
-    # bimagic squares come from a construction, not the layer search
+@pytest.mark.parametrize("order, width, palindromic", [
+    # the largest requests the recursion-limit rule let through
+    (31, 9, False), (20, 570, False), (3, 961, False), (3, 1922, True),
+    # and larger ones within the bounds
+    (31, 10, False), (31, 961, False), (31, 1922, True),
+])
+def test_search_spec_takes_requests_within_the_bounds(order, width,
+                                                      palindromic):
+    spec = SearchSpec(order=order, width=width, line_sums=(order,),
+                      palindromic=palindromic)
+    assert spec.line_sums == (order,) * width
+
+
+@pytest.mark.parametrize("order, width, palindromic", [
+    (32, 1, False), (3, 962, False), (3, 1924, True),
+])
+def test_search_spec_refuses_requests_past_the_bounds(order, width,
+                                                      palindromic):
+    with pytest.raises(ValueError, match=f"^order {order} with width {width} "
+                                         f"is too large a search: "):
+        SearchSpec(order=order, width=width, line_sums=(order,),
+                   palindromic=palindromic)
+
+
+def test_search_spec_bounds_read_no_interpreter_state(monkeypatch):
     monkeypatch.setattr(sys, "getrecursionlimit", lambda: 50)
+    SearchSpec(order=31, width=961, line_sums=(31,))
+    # bimagic squares come from a construction, not the layer search
     SearchSpec(order=9, width=4, bimagic=True)
-    with pytest.raises(ValueError, match="recursion limit 50"):
-        SearchSpec(order=3, width=12, line_sums=(3,) * 12)
+
+
+def _deeper(frames, call):
+    return call() if frames == 0 else _deeper(frames - 1, call)
+
+
+def test_the_layer_product_nests_no_frame_per_place():
+    spec = SearchSpec(order=3, width=961, line_sums=(3,) * 961)
+    square = _deeper(40, lambda: next(iter(gen_square(spec))))
+    assert (square.order, square.width) == (3, 961)
+    assert set(line_totals([[c.value for c in row] for row in square.cells])
+               ) == {spec.s1}
 
 
 def test_bimagic_search_first_square():
@@ -410,6 +441,10 @@ def test_compose_blocks(lo_shu):
     assert check_blocks(big, 2) == 4
     with pytest.raises(ShapeMismatch):
         compose_blocks([[ones, lo_shu], [ones, ones]])
+    one, two = Square.from_strings([["1"]]), Square.from_strings([["22"]])
+    with pytest.raises(ShapeMismatch, match=r"^block \(0, 1\) has width 2, "
+                                            r"expected 1$"):
+        compose_blocks([[one, two], [one, one]])
     with pytest.raises(ShapeMismatch):
         compose_blocks([[ones, ones]])
     with pytest.raises(ShapeMismatch):

@@ -46,8 +46,7 @@ def oracle_accepts(planes, spec):
 
 def stream_accepts(planes, spec):
     """Whether the emit loop lets the planes through as a square."""
-    squares = generate._square_stream(spec, lambda spec, deadline: [planes],
-                                      spec.alphabet)
+    squares = generate._square_stream(spec, lambda spec, deadline: [planes])
     try:
         (square,) = squares
     except (AssertionError, ValueError):
@@ -130,7 +129,7 @@ def test_both_reject_squares_missing_a_property(made, asked, rejects):
         if not accepted:
             with pytest.raises(AssertionError, match=rejects):
                 list(generate._square_stream(
-                    asked, lambda spec, deadline: [planes], asked.alphabet))
+                    asked, lambda spec, deadline: [planes]))
     assert False in verdicts
 
 
@@ -144,7 +143,7 @@ def test_both_reject_a_wrong_s2_under_bimagic():
         assert not oracle_accepts(corrupt, spec)
         with pytest.raises(AssertionError, match="not bimagic"):
             list(generate._square_stream(
-                spec, lambda spec, deadline: [corrupt], spec.alphabet))
+                spec, lambda spec, deadline: [corrupt]))
 
 
 
@@ -161,7 +160,7 @@ def test_both_reject_3x3_blocks_off_s1_under_bimagic():
         assert not oracle_accepts(moved, spec)
         with pytest.raises(AssertionError, match="3x3 blocks"):
             list(generate._square_stream(
-                spec, lambda spec, deadline: [moved], spec.alphabet))
+                spec, lambda spec, deadline: [moved]))
 
 
 # order-5 layers g((a i + b j) mod 5), magic with sum 5: with (a, b) = (1, 1)
@@ -177,4 +176,4 @@ def test_both_reject_broken_diagonals_off_s1_in_one_direction(a, b, g):
     assert not oracle_accepts((layer,), spec)
     with pytest.raises(AssertionError, match="not pandiagonal"):
         list(generate._square_stream(
-            spec, lambda spec, deadline: [(layer,)], spec.alphabet))
+            spec, lambda spec, deadline: [(layer,)]))

@@ -101,6 +101,7 @@ def test_rotate_text_one_by_one_square():
     " _ \n|x|\n|_|",
     "    \n  |\n  |",          # width 4 does not fit 3-wide cells
     " _\n| |\n|_|\n| |\n _\n| |\n|_|",  # band separator is not blank
+    "\n" * 11,                    # line width 0 fits no 3 code words
 ])
 def test_rotate_text_rejects_malformed(bad):
     with pytest.raises(MalformedBlock):
