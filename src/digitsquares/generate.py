@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 import time
@@ -95,9 +96,7 @@ class SearchSpec:
         if self.budget_ms is not None and self.budget_ms < 0:
             raise ValueError("budget must not be negative")
         if not self.bimagic and (
-                self.order > _MAX_ORDER
-                or (self.width // 2 if self.palindromic else self.width)
-                > _MAX_PLACES):
+                self.order > _MAX_ORDER or self.places > _MAX_PLACES):
             raise ValueError(
                 f"order {self.order} with width {self.width} is too large a "
                 f"search: the order may be at most {_MAX_ORDER} and the "
@@ -125,10 +124,15 @@ class SearchSpec:
             raise ValueError("bimagic squares over {0,1,2} force line sums "
                              "(9, 9, 9, 9)")
         if len(self.line_sums) != self.width:
-            raise ValueError(f"need {self.width} line sums, "
+            raise ValueError(f"need 1 or {self.width} line sums, "
                              f"got {len(self.line_sums)}")
         if self.palindromic and self.width % 2 != 0:
             raise ValueError("palindromic cells need an even width")
+
+    @functools.cached_property
+    def places(self) -> int:
+        """The digit places searched: half the width when palindromic."""
+        return self.width // 2 if self.palindromic else self.width
 
     @functools.cached_property
     def s1(self) -> int:
@@ -160,6 +164,7 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
     n, s = order, line_sum
     digits = sorted(alphabet.digits)
     lo, hi = digits[0], digits[-1]
+    # ends before a seeded stream draws the shuffle its first cell would
     if s < n * lo or s > n * hi:
         return
     members = frozenset(digits)
@@ -336,39 +341,64 @@ def gen_square(spec: SearchSpec,
                ) -> Iterator[Square]:
     """Squares matching the spec, built as a product of layer streams.
 
-    Provably empty requests raise Unsatisfiable immediately; a search that
-    finishes without a single square raises it at the end. If the time
-    budget runs out before the first square, BudgetExhausted is raised;
-    after the first, the stream ends early and calls ``on_budget(k)``,
-    when given, with the number k of squares it emitted.
+    A request that no square can meet raises Unsatisfiable before any
+    search starts, by the first of these rules it breaks:
+
+    - every place's line sum lies in [n*lo, n*hi] for the alphabet's
+      smallest and largest digit;
+    - palindromic cells need mirror-symmetric line sums;
+    - ``distinct`` needs n*n cells among those the searched places' sums
+      let a cell hold;
+    - every place's line sum is a multiple of gcd(n, 6) for pandiagonal
+      layers, and of 3 for magic layers of order 3.
+
+    A search that finishes without a single square raises it at the end.
+    If the time budget runs out before the first square, BudgetExhausted is
+    raised; after the first, the stream ends early and calls
+    ``on_budget(k)``, when given, with the number k of squares it emitted.
     """
     if spec.bimagic:
         return bimagic_search(spec, on_budget)
-    n = spec.order
-    lo, hi = spec.alphabet.min_digit, spec.alphabet.max_digit
+    n, lo, hi = spec.order, spec.alphabet.min_digit, spec.alphabet.max_digit
     for p, s in enumerate(spec.line_sums):
         if not n * lo <= s <= n * hi:
             raise Unsatisfiable(
                 f"line sum {s} at place {p} is outside [{n * lo}, {n * hi}] "
                 f"for order {n} over {spec.alphabet}")
-    if spec.palindromic:
-        for p in range(spec.width):
-            if spec.line_sums[p] != spec.line_sums[spec.width - 1 - p]:
-                raise Unsatisfiable(
-                    "palindromic cells force mirror-symmetric line sums, "
-                    f"got {spec.line_sums}")
+    if spec.palindromic and spec.line_sums != spec.line_sums[::-1]:
+        raise Unsatisfiable("palindromic cells force mirror-symmetric line "
+                            f"sums, got {spec.line_sums}")
     if spec.distinct:
         # a cell shares its row with n-1 digits in [lo, hi], so at a place
         # with sum s it holds a digit d with s-(n-1)hi <= d <= s-(n-1)lo;
         # the mirrored places of a palindromic cell follow from the others
         pool = 1
-        for s in spec.line_sums[:spec.width // 2 if spec.palindromic
-                                else spec.width]:
+        for s in spec.line_sums[:spec.places]:
             pool *= sum(s - (n - 1) * hi <= d <= s - (n - 1) * lo
                         for d in spec.alphabet)
         if pool < n * n:
             raise Unsatisfiable(
                 f"only {pool} distinct cells are available but {n * n} are needed")
+    # Why a layer's line sum s is a multiple of m:
+    # - Order 3: the middle row, the middle column and both diagonals hold
+    #   every cell once and the centre three more times, so they add to
+    #   4s = 3s + 3*centre, and s = 3*centre.
+    # - Pandiagonal, for p in {2, 3} dividing n and p^a the largest power
+    #   of p dividing n: weight row i by -2i^2, column j by -2j^2 and the
+    #   broken diagonals j - i = k and i + j = k (mod n) by k^2, for
+    #   0 <= i, j, k < n. Cell (i, j) gets -2i^2 - 2j^2 + (j - i)^2
+    #   + (i + j)^2 = 0, modulo M = 2^(a+1) for p = 2 and 3^a for p = 3:
+    #   reducing x = j - i or i + j by t*n moves x^2 by t*n*(t*n - 2x), a
+    #   multiple of M. So s*W = 0 (mod M) for the total weight
+    #   W = -n(n - 1)(2n - 1)/3, which holds exactly a factors of 2 (p = 2)
+    #   or a - 1 factors of 3 (p = 3); hence p divides s.
+    m = math.gcd(n, 6) if spec.pandiagonal else 3 if n == 3 else 1
+    for p, s in enumerate(spec.line_sums):
+        if s % m:
+            raise Unsatisfiable(
+                f"line sum {s} at place {p} is not a multiple of {m}, as "
+                f"every {'pandiagonal' if spec.pandiagonal else 'magic'} "
+                f"layer of order {n} needs")
     return _square_stream(spec, _layer_planes, on_budget)
 
 
@@ -387,7 +417,6 @@ def _square_stream(spec: SearchSpec,
     cells' values, which each word works out once per stream, and the
     square is yielded and counted against the limit.
     """
-    what = "bimagic square" if spec.bimagic else "square"
     deadline = (None if spec.budget_ms is None
                 else time.monotonic() + spec.budget_ms / 1000.0)
     words = WordTable(spec.alphabet)
@@ -403,13 +432,13 @@ def _square_stream(spec: SearchSpec,
     except _DeadlineHit:
         if emitted == 0:
             raise BudgetExhausted(
-                f"no {what} found within {spec.budget_ms} ms") from None
+                f"no {'bimagic square' if spec.bimagic else 'square'} found "
+                f"within {spec.budget_ms} ms") from None
         if on_budget is not None:
             on_budget(emitted)
         return
     if emitted == 0:
-        raise Unsatisfiable("bimagic family exhausted" if spec.bimagic else
-                            "search space exhausted without finding a square")
+        raise Unsatisfiable("search space exhausted without finding a square")
 
 
 def _layer_planes(spec: SearchSpec, deadline: float | None
@@ -424,7 +453,7 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
     # that never restarts a place keeps none of the grids its one pass
     # walks. A record holds at most all of the place's layers, each row
     # stored once and shared between them.
-    search_width = spec.width // 2 if spec.palindromic else spec.width
+    search_width = spec.places
     asize = len(spec.alphabet)
 
     # per place: the passes that ran out, and the record of its layers

@@ -1,6 +1,7 @@
 """Oracles for the layer search: exhaustive enumeration of width-1 magic
-squares, the recursive backtracker the one-loop search replaced, and the
-layer product as it searched every place's stream again on every pass; for
+squares, the recursive backtracker the one-loop search replaced, the
+layer product as it searched every place's stream again on every pass, and
+the smallest line sum the integer line equations allow; for
 the CLI's JSON writers, the documents as dicts for ``json.dumps``; for
 the checks of ``verify``, their line geometry on code words as it was
 before every check ran on one enumeration of plain-int lines; and for the
@@ -11,6 +12,7 @@ its cells as it went through them one by one."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -144,6 +146,65 @@ def brute_force_squares(order: int, alphabet: Alphabet,
             found.append(square)
     found.sort(key=lambda sq: sq.to_strings())
     return found
+
+
+def smallest_line_sum(order: int, pandiagonal: bool = False) -> int:
+    """The smallest positive line sum of a layer with integer cells.
+
+    The line sums a layer's cells give are a vector in the lattice L that
+    each cell's vector of the lines through it spans, so s is a layer's
+    line sum exactly when s times the all-ones vector lies in L, and the
+    smallest such s is the index of L in L + Z(1, ..., 1). Both lattices
+    have the same rank (the constant layer of s/n solves the equations
+    over the rationals), and in echelon form over the integers the index
+    is the ratio of their pivot products. No digit bound and no search:
+    this is what integer arithmetic alone forces.
+    """
+    n = order
+    pivots: dict[int, list[int]] = {}
+
+    def insert(v: list[int]) -> None:
+        for col in range(len(v)):
+            x = v[col]
+            if x == 0:
+                continue
+            row = pivots.get(col)
+            if row is None:
+                pivots[col] = v if x > 0 else [-y for y in v]
+                return
+            # replace the pivot row by the combination whose pivot is
+            # gcd(row[col], x), and go on with one that is 0 at col
+            g, a, b = _bezout(row[col], x)
+            p, q = row[col] // g, x // g
+            pivots[col] = [a * r + b * y for r, y in zip(row, v)]
+            v = [p * y - q * r for r, y in zip(row, v)]
+
+    size = 4 * n if pandiagonal else 2 * n + 2
+    for i in range(n):
+        for j in range(n):
+            v = [0] * size
+            v[i] = v[n + j] = 1
+            if pandiagonal:
+                v[2 * n + (j - i) % n] = v[3 * n + (i + j) % n] = 1
+            else:
+                v[2 * n] = int(i == j)
+                v[2 * n + 1] = int(i + j == n - 1)
+            insert(v)
+    rank, covolume = len(pivots), math.prod(r[c] for c, r in pivots.items())
+    insert([1] * size)
+    assert len(pivots) == rank
+    return covolume // math.prod(r[c] for c, r in pivots.items())
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    # (g, x, y) with a*x + b*y = g = gcd(a, b) > 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
 # The layer search as it was before it became one loop, kept as written so

@@ -910,6 +910,9 @@ BOUNDS = ("is too large a search: the order may be at most 31 and the "
      "got (3, 6)"),
     (["--line-sum", "3", "--distinct"], 3,
      "no squares: only 3 distinct cells are available but 9 are needed"),
+    (["--order", "6", "--line-sum", "4", "--pandiagonal"], 3,
+     "no squares: line sum 4 at place 0 is not a multiple of 6, as every "
+     "pandiagonal layer of order 6 needs"),
 ])
 def test_every_generate_refusal(capsys, argv, code, message):
     assert run(capsys, "generate", *argv) == (code, "", message + "\n")

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import math
 import random
+import re
 import sys
 
 import pytest
@@ -16,7 +18,7 @@ from digitsquares import (Alphabet, BudgetExhausted, SearchSpec, ShapeMismatch,
                           recompose)
 from digitsquares import generate
 from digitsquares.generate import _layer_stream, bimagic_search
-from oracle import OracleTooLarge, brute_force_squares
+from oracle import OracleTooLarge, brute_force_squares, smallest_line_sum
 
 A012 = Alphabet((0, 1, 2))
 
@@ -238,9 +240,111 @@ def test_the_distinct_pool_rule_rejects_only_what_the_search_exhausts(
 
 
 def test_gen_square_exhausts_cleanly():
-    # satisfiable-looking sums with an empty layer stream at the second place
-    spec = SearchSpec(order=3, width=2, line_sums=(3, 5))
-    with pytest.raises(Unsatisfiable):
+    # every rule admits these sums, but only the first place has layers
+    # (16 of them); no magic layer of order 4 over {0, 2, 5} sums to 13
+    spec = SearchSpec(order=4, width=2, alphabet=Alphabet((0, 2, 5)),
+                      line_sums=(4, 13))
+    with pytest.raises(Unsatisfiable, match="search space exhausted"):
+        list(gen_square(spec))
+
+
+def _factors(x, p):
+    # how many times p divides the nonzero integer x
+    count = 0
+    while x % p == 0:
+        x //= p
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in range(3, 32)
+                                  for p in (2, 3) if n % p == 0])
+def test_the_weights_behind_the_pandiagonal_divisibility_rule(n, p):
+    """gen_square's proof that p divides a pandiagonal layer's line sum, at
+    every order a layer search takes: rows weighted -2i^2, columns -2j^2,
+    broken diagonals k^2 give every cell a weight divisible by M, and the
+    total weight W has one factor of p fewer than M."""
+    a = _factors(n, p)
+    modulus = 2 ** (a + 1) if p == 2 else 3 ** a
+    for i in range(n):
+        for j in range(n):
+            weight = (-2 * i * i - 2 * j * j
+                      + ((j - i) % n) ** 2 + ((i + j) % n) ** 2)
+            assert weight % modulus == 0, (i, j)
+    rows = columns = [-2 * i * i for i in range(n)]
+    diagonals = [k * k for k in range(n)]
+    total = sum(rows) + sum(columns) + 2 * sum(diagonals)
+    assert 3 * total == -n * (n - 1) * (2 * n - 1)
+    assert _factors(total, p) == _factors(modulus, p) - 1
+
+
+@pytest.mark.parametrize("pandiagonal", [False, True])
+def test_the_divisibility_rule_is_all_that_the_line_equations_force(
+        pandiagonal):
+    # the oracle's smallest integer line sum g, at orders 3-18 (every power
+    # of 2 and 3 up to 16 and 9, and gcd(n, 6) = 6 three times): over the
+    # digits 0-9, gen_square admits a sum in [1, 3g] exactly when g divides it
+    digits = Alphabet(tuple(range(10)))
+    for n in range(3, 19):
+        g = smallest_line_sum(n, pandiagonal)
+        assert g == (math.gcd(n, 6) if pandiagonal else 3 if n == 3 else 1)
+        for s in range(1, 3 * g + 1):
+            spec = SearchSpec(order=n, width=1, alphabet=digits,
+                              line_sums=(s,), pandiagonal=pandiagonal)
+            try:
+                gen_square(spec)
+            except Unsatisfiable:
+                assert s % g, (n, s)
+            else:
+                assert s % g == 0, (n, s)
+
+
+@pytest.mark.parametrize("pandiagonal", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_layer_search_finds_a_layer_for_exactly_the_admitted_sums(
+        n, pandiagonal):
+    # every sum in [0, 2n] is in range over {0, 1, 2}; the divisibility rule
+    # refuses the rest, and the search must find no layer for those
+    admitted = []
+    for s in range(2 * n + 1):
+        spec = SearchSpec(order=n, width=1, alphabet=A012, line_sums=(s,),
+                          pandiagonal=pandiagonal, deterministic=True)
+        try:
+            gen_square(spec)
+        except Unsatisfiable as exc:
+            assert "is not a multiple of" in str(exc)
+        else:
+            admitted.append(s)
+        found = next(_layer_stream(n, A012, s, pandiagonal=pandiagonal), None)
+        assert (found is not None) == (s in admitted), s
+    m = 3 if n == 3 else 2 if pandiagonal and n == 4 else 1
+    assert admitted == list(range(0, 2 * n + 1, m))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (SearchSpec(order=6, width=1, line_sums=(4,), pandiagonal=True),
+     "line sum 4 at place 0 is not a multiple of 6, as every pandiagonal "
+     "layer of order 6 needs"),
+    (SearchSpec(order=4, width=1, alphabet=Alphabet(tuple(range(10))),
+                line_sums=(13,), pandiagonal=True),
+     "line sum 13 at place 0 is not a multiple of 2, as every pandiagonal "
+     "layer of order 4 needs"),
+    (SearchSpec(order=3, width=2, line_sums=(3, 5)),
+     "line sum 5 at place 1 is not a multiple of 3, as every magic layer of "
+     "order 3 needs"),
+    # an earlier rule names its own fault first
+    (SearchSpec(order=3, width=2, line_sums=(3, 5), palindromic=True),
+     "palindromic cells force mirror-symmetric line sums, got (3, 5)"),
+    (SearchSpec(order=3, width=1, line_sums=(1,), distinct=True),
+     "only 2 distinct cells are available but 9 are needed"),
+])
+def test_gen_square_refuses_an_indivisible_sum_before_any_search(
+        monkeypatch, spec, message):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a layer search started")
+
+    monkeypatch.setattr(generate, "_layer_stream", no_search)
+    with pytest.raises(Unsatisfiable, match=f"^{re.escape(message)}$"):
         list(gen_square(spec))
 
 
@@ -253,7 +357,7 @@ def test_gen_square_budget_zero():
 def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(order=2, width=1, line_sums=(1,))
-    with pytest.raises(ValueError, match="^need 2 line sums, got 3$"):
+    with pytest.raises(ValueError, match="^need 1 or 2 line sums, got 3$"):
         SearchSpec(order=3, width=2, line_sums=(3, 3, 3))
     # one sum stands for every place
     assert SearchSpec(order=3, width=2, line_sums=(3,)).line_sums == (3, 3)
