@@ -292,21 +292,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_PROPERTY
 
 
+class _TooLong(argparse.ArgumentTypeError):
+    """An integer with more digits than Python converts from a string."""
+
+
 def _integer(text: str) -> int:
     """An integer written in ASCII digits, with an optional leading minus.
 
-    ``int`` alone also reads other scripts' digits, such as "٣" as 3.
+    ``int`` alone also reads other scripts' digits, such as "٣" as 3. One
+    longer than ``sys.get_int_max_str_digits()`` (4300 digits by default)
+    is refused by its digit count, not echoed.
     """
-    if not is_digit_string(text[1:] if text.startswith("-") else text):
+    digits = text[1:] if text.startswith("-") else text
+    if not is_digit_string(digits):
         raise argparse.ArgumentTypeError(
             f"expected an integer in ASCII digits, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise _TooLong(
+            f"an integer of {len(digits)} digits is longer than Python's "
+            f"limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 def _parse_line_sums(raw: str, width: int) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",")]
     try:
         values = tuple(_integer(p) for p in parts)
+    except _TooLong as exc:
+        raise DocumentError(f"--line-sum: {exc}") from None
     except argparse.ArgumentTypeError:
         raise DocumentError(f"--line-sum must be integers, got {raw!r}") from None
     # one value stands for every place; SearchSpec expands it

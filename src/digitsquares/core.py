@@ -16,7 +16,6 @@ relevant map make the transform fail, loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter, is_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -116,11 +115,8 @@ class Alphabet:
             raise ValueError("alphabet must not be empty")
         if len(set(self.digits)) != len(self.digits):
             raise ValueError(f"alphabet has repeated digits: {self.digits}")
-        for d in self.digits:
-            # bool is an int subclass: (False, True) would print as FalseTrue
-            if (isinstance(d, bool) or not isinstance(d, int)
-                    or not 0 <= d <= 9):
-                raise ValueError(f"not a decimal digit: {d!r}")
+        # the decimal-digit rule of a code word, with its message
+        CodeWord(self.digits)
         object.__setattr__(self, "_members", frozenset(self.digits))
 
     @classmethod
@@ -155,7 +151,7 @@ class Alphabet:
 class CodeWord:
     """A fixed-width digit string. Width is part of the identity.
 
-    Its value and text are worked out on first use and kept on the word,
+    Its value and text are worked out when it is made and kept on the word,
     outside the fields that equality, hashing, order and repr see.
     """
 
@@ -164,10 +160,17 @@ class CodeWord:
     def __post_init__(self):
         if not self.digits:
             raise ValueError("code word must have at least one digit")
+        # exact: Python ints never overflow
+        value = 0
         for d in self.digits:
+            # bool is an int subclass: (False, True) would print as FalseTrue
             if (isinstance(d, bool) or not isinstance(d, int)
                     or not 0 <= d <= 9):
                 raise ValueError(f"not a decimal digit: {d!r}")
+            value = value * 10 + d
+        object.__setattr__(self, "value", value)
+        # one %d per digit: the digits are ints 0-9
+        object.__setattr__(self, "_text", "%d" * len(self.digits) % self.digits)
 
     @classmethod
     def from_string(cls, text: str) -> "CodeWord":
@@ -178,23 +181,9 @@ class CodeWord:
     def __str__(self) -> str:
         return self._text
 
-    # cached_property writes __dict__; frozen blocks only __setattr__
-    @cached_property
-    def _text(self) -> str:
-        # one %d per digit: the digits are ints 0-9
-        return "%d" * len(self.digits) % self.digits
-
     @property
     def width(self) -> int:
         return len(self.digits)
-
-    @cached_property
-    def value(self) -> int:
-        # exact: 4-digit words stay below 10**4, Python ints never overflow
-        v = 0
-        for d in self.digits:
-            v = v * 10 + d
-        return v
 
     def reverse(self) -> "CodeWord":
         return CodeWord(self.digits[::-1])

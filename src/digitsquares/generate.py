@@ -31,9 +31,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import (Alphabet, BudgetExhausted, CodeWord, Grid, Square,
-                   Unsatisfiable, WordTable, _block_sums, _broken_diagonals,
-                   _common_sums, _lines, recompose)
+from .core import (Alphabet, BudgetExhausted, Grid, Square, Unsatisfiable,
+                   WordTable, _block_sums, _broken_diagonals, _common_sums,
+                   _lines, recompose)
 
 
 # the largest order and number of searched digit places a layer search
@@ -315,10 +315,9 @@ def _reverify(values: list[list[int]], spec: SearchSpec) -> None:
     n, s1 = spec.order, spec.s1
     lines = _lines(values)
     if spec.bimagic:
-        s2 = _bimagic_s2()
-        if _common_sums(lines) != (s1, s2):
+        if _common_sums(lines) != (s1, _BIMAGIC_S2):
             raise AssertionError(f"generated square is not bimagic with "
-                                 f"S1={s1}, S2={s2}")
+                                 f"S1={s1}, S2={_BIMAGIC_S2}")
         if set(_block_sums(values, 3)) != {s1}:
             raise AssertionError(f"generated square has 3x3 blocks not "
                                  f"summing to {s1}")
@@ -413,9 +412,9 @@ def _square_stream(spec: SearchSpec,
     ``recompose`` from a word table kept for the life of the stream, which
     trusts the source's planes: each distinct cell is made and checked
     against the spec's alphabet once, and each distinct row of the last
-    plane once per run of the same leading planes. ``_reverify`` then checks the
-    cells' values, which each word works out once per stream, and the
-    square is yielded and counted against the limit.
+    plane once per run of the same leading planes. ``_reverify`` then
+    checks the cells' values, which each word worked out when the table
+    made it, and the square is yielded and counted against the limit.
     """
     deadline = (None if spec.budget_ms is None
                 else time.monotonic() + spec.budget_ms / 1000.0)
@@ -452,7 +451,9 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
     # per replayed grid. Recording waits for a second pass, so a request
     # that never restarts a place keeps none of the grids its one pass
     # walks. A record holds at most all of the place's layers, each row
-    # stored once and shared between them.
+    # stored once and shared between them; it is made on a pass that
+    # repeats a finished pass, so it never holds more grids than the first
+    # pass walked.
     search_width = spec.places
     asize = len(spec.alphabet)
 
@@ -577,16 +578,9 @@ _ROWS = [r for r in itertools.product(range(3), repeat=4) if r[1] or r[3]]
 # by row number; nonzero for the 48 rows that vary along all four directions
 _ROW_MASKS = [_line_mask(r) for r in _ROWS]
 _BIMAGIC_FAMILY_SIZE = 2304 * 81    # matrices times offsets
-
-
-@functools.cache
-def _bimagic_s2() -> int:
-    # every family square holds each of the 81 four-digit words once; verify
-    # is imported here, so only a bimagic search loads it
-    from . import verify
-
-    return verify.s2_from_multiset(
-        [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)], 9)
+# S2 of every family square, which holds each of the 81 four-digit words
+# over {0, 1, 2} once: verify.s2_from_multiset of those words at order 9
+_BIMAGIC_S2 = 17169495
 
 
 def _family_matrices(prefix: tuple = (), used: int = 0

@@ -1,7 +1,8 @@
 """Oracles for the layer search: exhaustive enumeration of width-1 magic
 squares, the recursive backtracker the one-loop search replaced, the
-layer product as it searched every place's stream again on every pass, and
-the smallest line sum the integer line equations allow; for
+layer product as it searched every place's stream again on every pass, a
+count of layers made row by row, and the smallest line sum the integer line
+equations allow; for
 the CLI's JSON writers, the documents as dicts for ``json.dumps``; for
 the checks of ``verify``, their line geometry on code words as it was
 before every check ran on one enumeration of plain-int lines; and for the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from collections import Counter
@@ -194,6 +196,49 @@ def smallest_line_sum(order: int, pandiagonal: bool = False) -> int:
     insert([1] * size)
     assert len(pivots) == rank
     return covolume // math.prod(r[c] for c, r in pivots.items())
+
+
+def count_layers(order: int, alphabet: Alphabet, line_sum: int,
+                 pandiagonal: bool = False) -> int:
+    """The number of single-digit magic layers, counted row by row.
+
+    A layer of order n over ``alphabet`` has every row, column and main
+    diagonal summing to ``line_sum`` (with ``pandiagonal``, every broken
+    diagonal too). The count runs over whole rows that sum to ``line_sum``,
+    one row index at a time, and keeps per state the number of row stacks
+    that reach it. The state is the partial sums of the columns and of the
+    diagonals that must close: the two main ones, or the 2n broken ones.
+    Each such line takes one cell per row, so with k rows left each partial
+    sum lies within k smallest and k largest digits of ``line_sum``; after
+    the last row only the state in which every line is at ``line_sum`` is
+    left. No grid is built and no cell is branched on.
+    """
+    n, s = order, line_sum
+    lo, hi = alphabet.min_digit, alphabet.max_digit
+    rows = [r for r in itertools.product(alphabet.digits, repeat=n)
+            if sum(r) == s]
+
+    def adds(i: int, row: tuple[int, ...]) -> tuple[int, ...]:
+        # what row i adds to the columns, then to the diagonals: the
+        # broken diagonal k of each direction holds (i, (i + k) mod n)
+        # and (i, (k - i) mod n), the main ones (i, i) and (i, n - 1 - i)
+        if pandiagonal:
+            return (*row, *(row[(i + k) % n] for k in range(n)),
+                    *(row[(k - i) % n] for k in range(n)))
+        return (*row, row[i], row[n - 1 - i])
+
+    counts = Counter({(0,) * (3 * n if pandiagonal else n + 2): 1})
+    for i in range(n):
+        least, most = s - (n - 1 - i) * hi, s - (n - 1 - i) * lo
+        steps = [adds(i, row) for row in rows]
+        after: Counter = Counter()
+        for state, count in counts.items():
+            for step in steps:
+                sums = tuple(map(operator.add, state, step))
+                if least <= min(sums) and max(sums) <= most:
+                    after[sums] += count
+        counts = after
+    return sum(counts.values())
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

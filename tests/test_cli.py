@@ -861,6 +861,10 @@ def run_child(*argv):
 
 BOUNDS = ("is too large a search: the order may be at most 31 and the "
           "searched places (half the width when palindromic) at most 961")
+# an integer past Python's default int-to-string limit of 4300 digits
+TOO_LONG = "9" * 5000
+LONGER_THAN_PYTHON = ("an integer of 5000 digits is longer than Python's "
+                      "limit of 4300 digits")
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -913,9 +917,19 @@ BOUNDS = ("is too large a search: the order may be at most 31 and the "
     (["--order", "6", "--line-sum", "4", "--pandiagonal"], 3,
      "no squares: line sum 4 at place 0 is not a multiple of 6, as every "
      "pandiagonal layer of order 6 needs"),
+    # an integer past Python's limit, named by its digit count
+    (["--line-sum", TOO_LONG], 2, f"error: --line-sum: {LONGER_THAN_PYTHON}"),
+    (["--line-sum", "3", "--seed", TOO_LONG], 2,
+     f"digitsquares generate: error: argument --seed: {LONGER_THAN_PYTHON}"),
 ])
 def test_every_generate_refusal(capsys, argv, code, message):
-    assert run(capsys, "generate", *argv) == (code, "", message + "\n")
+    try:
+        result = run(capsys, "generate", *argv)
+    except SystemExit as exc:
+        # argparse refuses the flag itself: its usage, then one error line
+        out, err = capsys.readouterr()
+        result = exc.code, out, err.splitlines(keepends=True)[-1]
+    assert result == (code, "", message + "\n")
 
 
 def test_a_refused_wide_request_builds_nothing(capsys):
@@ -990,6 +1004,30 @@ def test_generate_integer_flags_take_ascii_digits_only(capsys, flag, value):
     assert exc.value.code == 2
     assert f"argument {flag}: expected an integer in ASCII digits" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    *(pytest.param(flag, ["generate", "--line-sum", "3", flag, sign + TOO_LONG],
+                   id=f"{flag}={sign}9...")
+      for flag in ("--order", "--width", "--limit", "--seed", "--budget-ms")
+      for sign in ("", "-")),
+    pytest.param("--line-sum", ["generate", "--width", "2", "--line-sum",
+                                f"3,-{TOO_LONG}"], id="--line-sum=3,-9..."),
+    pytest.param("--blocks", ["verify", "--blocks", TOO_LONG, "-"],
+                 id="--blocks=9..."),
+])
+def test_an_oversized_integer_flag_is_named_not_echoed(capsys, flag, argv):
+    # past Python's limit int() raises, and argparse or the generate
+    # command would echo all the digits or name no flag
+    with mock.patch("sys.stdin", io.StringIO("")):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"{flag}: {LONGER_THAN_PYTHON}")
+    assert "99999" not in err and len(err) < 1000
 
 
 def test_generate_line_sum_takes_ascii_digits_only(capsys):

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitsquares import (Alphabet, BudgetExhausted, SearchSpec, ShapeMismatch,
-                          Square, Unsatisfiable, check_bimagic, check_blocks,
-                          check_magic, compose_blocks, decompose,
+from digitsquares import (Alphabet, BudgetExhausted, CodeWord, SearchSpec,
+                          ShapeMismatch, Square, Unsatisfiable, check_bimagic,
+                          check_blocks, check_magic, compose_blocks, decompose,
                           entry_properties, gen_square, palindromic_extend,
                           recompose)
-from digitsquares import generate
+from digitsquares import generate, verify
 from digitsquares.generate import _layer_stream, bimagic_search
-from oracle import OracleTooLarge, brute_force_squares, smallest_line_sum
+from oracle import (OracleTooLarge, brute_force_squares, count_layers,
+                    smallest_line_sum)
 
 A012 = Alphabet((0, 1, 2))
 
@@ -248,6 +249,26 @@ def test_gen_square_exhausts_cleanly():
         list(gen_square(spec))
 
 
+@pytest.mark.parametrize("order, digits, pandiagonal, counts", [
+    (4, (0, 1, 2), False, dict(enumerate([1, 8, 48, 144, 219, 144, 48, 8, 1]))),
+    (4, (0, 1, 2), True, dict(enumerate([1, 0, 8, 0, 33, 0, 8, 0, 1]))),
+    # sum 13 has none: the exhaustion case of the test above
+    (4, (0, 2, 5), False, dict(enumerate([1, 0, 8, 0, 16, 8, 8, 24, 1, 24, 16,
+                                          8, 24, 0, 16, 8, 0, 8, 0, 0, 1]))),
+    # order-5 pandiagonal (351 layers at sum 5) agrees too, but is left
+    # out: there the count takes several times as long as the search
+    (5, (0, 1, 2), False, {5: 40167}),
+], ids=["4-012", "4-012-pandiagonal", "4-025", "5-012-sum-5"])
+def test_the_layer_search_finds_as_many_layers_as_a_row_by_row_count(
+        order, digits, pandiagonal, counts):
+    # the count walks whole rows with the line sums as its state and
+    # shares no code and no order with the cell-by-cell search
+    alphabet = Alphabet(digits)
+    for s, count in counts.items():
+        found = sum(1 for _ in _layer_stream(order, alphabet, s, pandiagonal))
+        assert found == count_layers(order, alphabet, s, pandiagonal) == count
+
+
 def _factors(x, p):
     # how many times p divides the nonzero integer x
     count = 0
@@ -437,6 +458,12 @@ def test_bimagic_search_first_square():
     # every four-digit word over {0,1,2} appears exactly once
     assert "1102" in words and "2011" in words and "0000" in words
     assert entry_properties(sq).rotation_closed
+
+
+def test_the_bimagic_s2_constant_is_the_multiset_oracle_s2():
+    # every family square holds each four-digit word over {0, 1, 2} once
+    words = [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)]
+    assert generate._BIMAGIC_S2 == verify.s2_from_multiset(words, 9)
 
 
 def test_bimagic_search_via_gen_square():

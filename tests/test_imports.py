@@ -56,9 +56,9 @@ def loaded(tmp_path, *argv, stdin=""):
     (["render", "-"], {"cli", "core", "sevenseg"}),
     (["generate", "--order", "3", "--line-sum", "3"],
      {"cli", "core", "generate"}),
-    # only the bimagic path works out S2, with verify's s2_from_multiset
+    # the bimagic path re-verifies against S2 as a constant
     (["generate", "--order", "9", "--width", "4", "--bimagic"],
-     {"cli", "core", "generate", "verify"}),
+     {"cli", "core", "generate"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     # a module loaded on first use is still timed by -X importtime
