@@ -29,8 +29,8 @@ from typing import Iterable, Iterator, TextIO
 # csv and json are imported inside the functions that use them
 from .core import (SUM_PROPERTIES, Alphabet, BadBlockSize, BudgetExhausted,
                    Grid, InvalidState, ShapeMismatch, Square, Unsatisfiable,
-                   UnmappableDigit, _common, _lines, _word_text, decompose,
-                   is_digit_string, mirror_square, rotate_square)
+                   UnmappableDigit, _common, _lines, _quote, _word_text,
+                   decompose, is_digit_string, mirror_square, rotate_square)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -306,7 +306,7 @@ def _integer(text: str) -> int:
     digits = text[1:] if text.startswith("-") else text
     if not is_digit_string(digits):
         raise argparse.ArgumentTypeError(
-            f"expected an integer in ASCII digits, got {text!r}")
+            f"expected an integer in ASCII digits, got {_quote(text)}")
     try:
         return int(text)
     except ValueError:
@@ -322,7 +322,8 @@ def _parse_line_sums(raw: str, width: int) -> tuple[int, ...]:
     except _TooLong as exc:
         raise DocumentError(f"--line-sum: {exc}") from None
     except argparse.ArgumentTypeError:
-        raise DocumentError(f"--line-sum must be integers, got {raw!r}") from None
+        raise DocumentError(
+            f"--line-sum must be integers, got {_quote(raw)}") from None
     # one value stands for every place; SearchSpec expands it
     if len(values) not in (1, width):
         raise DocumentError(

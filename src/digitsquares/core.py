@@ -96,6 +96,14 @@ def is_digit_string(text: object) -> bool:
     return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
+def _quote(value: object, most: int = 40) -> str:
+    # a value as a message shows it: its repr, or past `most` characters of
+    # a string the start and the length, so a long value is not echoed
+    if isinstance(value, str) and len(value) > most:
+        return f"{value[:most]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
 #: Digits that read as a digit again after a half turn of the display.
 ROTATION_180: Mapping[int, int] = MappingProxyType(
     {0: 0, 1: 1, 2: 2, 5: 5, 6: 9, 8: 8, 9: 6})
@@ -123,7 +131,8 @@ class Alphabet:
     def from_string(cls, text: str) -> "Alphabet":
         """Parse an alphabet from a digit string such as "012"."""
         if not is_digit_string(text):
-            raise ValueError(f"alphabet must be decimal digits, got {text!r}")
+            raise ValueError(
+                f"alphabet must be decimal digits, got {_quote(text)}")
         return cls(tuple(int(c) for c in text))
 
     def __contains__(self, digit: int) -> bool:
@@ -419,6 +428,11 @@ def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:
 # The lines of a matrix of cell values, which every check of sums reads:
 # verify's checks and report, the generator's re-verification and the
 # line sums of decompose.
+
+
+def _values(square: Square) -> list[list[int]]:
+    # each cell's exact value, which each word works out once and keeps
+    return [[c.value for c in row] for row in square.cells]
 
 
 def _lines(values: Sequence[Sequence[int]]) -> list[Sequence[int]]:

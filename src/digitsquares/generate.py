@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 
 from .core import (Alphabet, BudgetExhausted, Grid, Square, Unsatisfiable,
                    WordTable, _block_sums, _broken_diagonals, _common_sums,
-                   _lines, recompose)
+                   _lines, _values, recompose)
 
 
 # the largest order and number of searched digit places a layer search
@@ -69,6 +69,10 @@ class SearchSpec:
     (half the width when ``palindromic``), is rejected with ValueError
     before anything is built. Searches stall below these bounds too;
     ``budget_ms`` bounds a search's time.
+
+    ``places`` is the number of digit places searched, half the width when
+    ``palindromic``, and ``s1`` the line sum every emitted square will
+    have, both worked out when the spec is made.
     """
 
     order: int
@@ -95,6 +99,8 @@ class SearchSpec:
             raise ValueError("seed must not be negative")
         if self.budget_ms is not None and self.budget_ms < 0:
             raise ValueError("budget must not be negative")
+        object.__setattr__(self, "places", self.width // 2 if self.palindromic
+                           else self.width)
         if not self.bimagic and (
                 self.order > _MAX_ORDER or self.places > _MAX_PLACES):
             raise ValueError(
@@ -128,17 +134,8 @@ class SearchSpec:
                              f"got {len(self.line_sums)}")
         if self.palindromic and self.width % 2 != 0:
             raise ValueError("palindromic cells need an even width")
-
-    @functools.cached_property
-    def places(self) -> int:
-        """The digit places searched: half the width when palindromic."""
-        return self.width // 2 if self.palindromic else self.width
-
-    @functools.cached_property
-    def s1(self) -> int:
-        """The line sum every emitted square will have, worked out once."""
-        return sum(s * 10 ** (self.width - 1 - p)
-                   for p, s in enumerate(self.line_sums))
+        object.__setattr__(self, "s1", sum(s * 10 ** (self.width - 1 - p)
+                                           for p, s in enumerate(self.line_sums)))
 
 
 def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
@@ -298,21 +295,21 @@ def _prefix_distinct_ok(grids: list[Grid], places_left: int,
     return max(Counter(keys).values()) <= budget
 
 
-def _reverify(values: list[list[int]], spec: SearchSpec) -> None:
-    """Check a generated square's cell values against every line spec asks.
+def _reverify(square: Square, spec: SearchSpec) -> None:
+    """Check a generated square against every line and cell rule spec asks.
 
-    ``values[i][j]`` is the exact value of cell (i, j), as the stream's
-    word table hands it. All 2n+2 lines must sum to S1; with
-    ``pandiagonal``, every broken diagonal too; with ``bimagic``, every
-    line must also have squared sum S2 and every aligned 3x3 block sum S1.
-    ``distinct`` and ``bimagic`` need n*n different values, which for cells
-    of one width are n*n different cells, and ``palindromic`` needs every
-    value, written with ``spec.width`` digits, to read the same reversed.
-    The lines, broken diagonals and blocks come from the one enumeration
-    in ``core`` that ``verify`` reads too. Emitted squares are re-verified,
-    not trusted.
+    The lines are summed over the cells' values, which each word worked
+    out when the stream's word table made it. All 2n+2 lines must sum to
+    S1; with ``pandiagonal``, every broken diagonal too; with ``bimagic``,
+    every line must also have squared sum S2 and every aligned 3x3 block
+    sum S1. ``distinct`` and ``bimagic`` need n*n different values, which
+    for cells of one width are n*n different cells, and ``palindromic``
+    needs every cell's digits to read the same reversed. The lines, broken
+    diagonals and blocks come from the one enumeration in ``core`` that
+    ``verify`` reads too. Emitted squares are re-verified, not trusted.
     """
     n, s1 = spec.order, spec.s1
+    values = _values(square)
     lines = _lines(values)
     if spec.bimagic:
         if _common_sums(lines) != (s1, _BIMAGIC_S2):
@@ -329,10 +326,9 @@ def _reverify(values: list[list[int]], spec: SearchSpec) -> None:
     if ((spec.distinct or spec.bimagic)
             and len({v for row in values for v in row}) != n * n):
         raise AssertionError("generated square has repeated cells")
-    if spec.palindromic:
-        texts = [f"{v:0{spec.width}}" for row in values for v in row]
-        if any(t != t[::-1] for t in texts):
-            raise AssertionError("generated square has non-palindromic cells")
+    if spec.palindromic and not all(
+            c.is_palindrome() for row in square.cells for c in row):
+        raise AssertionError("generated square has non-palindromic cells")
 
 
 def gen_square(spec: SearchSpec,
@@ -423,7 +419,7 @@ def _square_stream(spec: SearchSpec,
     try:
         for planes in plane_source(spec, deadline):
             square = recompose(planes, words=words)
-            _reverify([[c.value for c in row] for row in square.cells], spec)
+            _reverify(square, spec)
             yield square
             emitted += 1
             if emitted >= spec.limit:
@@ -581,6 +577,10 @@ _BIMAGIC_FAMILY_SIZE = 2304 * 81    # matrices times offsets
 # S2 of every family square, which holds each of the 81 four-digit words
 # over {0, 1, 2} once: verify.s2_from_multiset of those words at order 9
 _BIMAGIC_S2 = 17169495
+# the 24 column orders of a 4x4 matrix, each with its sign
+_SIGNED_ORDERS = [
+    (p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+    for p in itertools.permutations(range(4))]
 
 
 def _family_matrices(prefix: tuple = (), used: int = 0
@@ -596,19 +596,10 @@ def _family_matrices(prefix: tuple = (), used: int = 0
 
 
 def _full_rank(matrix: tuple[tuple[int, ...], ...]) -> bool:
-    # elimination over GF(3), where each nonzero pivot is its own inverse
-    rows = [list(r) for r in matrix]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if rows[r][col]), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        for r in range(col + 1, 4):
-            f = rows[r][col] * top[col] % 3
-            if f:
-                rows[r] = [(x - f * y) % 3 for x, y in zip(rows[r], top)]
-    return True
+    # full rank over GF(3): a determinant that 3 does not divide
+    a, b, c, d = matrix
+    return sum(sign * a[i] * b[j] * c[k] * d[m]
+               for (i, j, k, m), sign in _SIGNED_ORDERS) % 3 != 0
 
 
 def _affine_planes(matrix: tuple[tuple[int, int, int, int], ...],

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .core import (SUM_PROPERTIES, BadBlockSize, CodeWord, InvalidState,
                    NonRotatableDigit, Square, _block_sums, _broken_diagonals,
-                   _common, _common_sums, _lines, rotate_codeword)
+                   _common, _common_sums, _lines, _values, rotate_codeword)
 
 
 #: A code word's digit tuple, its key in a count: a tuple hashes in C.
@@ -46,11 +46,6 @@ class LineSum:
     label: str
     total: int
     square_total: int
-
-
-def _values(square: Square) -> list[list[int]]:
-    # each cell's exact value, which each word works out once and keeps
-    return [[c.value for c in row] for row in square.cells]
 
 
 def _line_sums(values: Sequence[Sequence[int]]) -> list[LineSum]:

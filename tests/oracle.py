@@ -2,13 +2,14 @@
 squares, the recursive backtracker the one-loop search replaced, the
 layer product as it searched every place's stream again on every pass, a
 count of layers made row by row, and the smallest line sum the integer line
-equations allow; for
-the CLI's JSON writers, the documents as dicts for ``json.dumps``; for
-the checks of ``verify``, their line geometry on code words as it was
-before every check ran on one enumeration of plain-int lines; and for the
-read path, the reader, transforms and drawing as they were cell by cell,
-before each distinct word was handled once, and the Square's check of
-its cells as it went through them one by one."""
+equations allow; for the bimagic family, full rank over GF(3) by the
+elimination a determinant replaced; for the CLI's JSON writers, the
+documents as dicts for ``json.dumps``; for the checks of ``verify``,
+their line geometry on code words as it was before every check ran on one
+enumeration of plain-int lines; and for the read path, the reader,
+transforms and drawing as they were cell by cell, before each distinct
+word was handled once, and the Square's check of its cells as it went
+through them one by one."""
 
 from __future__ import annotations
 
@@ -250,6 +251,26 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
         x0, x1 = x1, x0 - k * x1
         y0, y1 = y1, y0 - k * y1
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+# The bimagic family's rank test as it was before a determinant replaced it.
+def gf3_full_rank(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether a 4x4 matrix with entries 0-2 has full rank over GF(3).
+
+    Elimination, where each nonzero pivot is its own inverse.
+    """
+    rows = [list(r) for r in matrix]
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if rows[r][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for r in range(col + 1, 4):
+            f = rows[r][col] * top[col] % 3
+            if f:
+                rows[r] = [(x - f * y) % 3 for x, y in zip(rows[r], top)]
+    return True
 
 
 # The layer search as it was before it became one loop, kept as written so

@@ -865,6 +865,9 @@ BOUNDS = ("is too large a search: the order may be at most 31 and the "
 TOO_LONG = "9" * 5000
 LONGER_THAN_PYTHON = ("an integer of 5000 digits is longer than Python's "
                       "limit of 4300 digits")
+# a long value that is not digits, and how a message shows it
+NOT_DIGITS = "x" * 5000
+SHOWN = f"'{'x' * 40}'... (5000 characters)"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -1006,19 +1009,38 @@ def test_generate_integer_flags_take_ascii_digits_only(capsys, flag, value):
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("flag, argv", [
+@pytest.mark.parametrize("flag, argv, message", [
     *(pytest.param(flag, ["generate", "--line-sum", "3", flag, sign + TOO_LONG],
-                   id=f"{flag}={sign}9...")
+                   f"{flag}: {LONGER_THAN_PYTHON}", id=f"{flag}={sign}9...")
       for flag in ("--order", "--width", "--limit", "--seed", "--budget-ms")
       for sign in ("", "-")),
     pytest.param("--line-sum", ["generate", "--width", "2", "--line-sum",
-                                f"3,-{TOO_LONG}"], id="--line-sum=3,-9..."),
+                                f"3,-{TOO_LONG}"],
+                 f"--line-sum: {LONGER_THAN_PYTHON}", id="--line-sum=3,-9..."),
     pytest.param("--blocks", ["verify", "--blocks", TOO_LONG, "-"],
-                 id="--blocks=9..."),
+                 f"--blocks: {LONGER_THAN_PYTHON}", id="--blocks=9..."),
+    # a long value that is not digits is shown by its start and length
+    *(pytest.param(flag, ["generate", "--line-sum", "3", flag, NOT_DIGITS],
+                   f"{flag}: expected an integer in ASCII digits, got {SHOWN}",
+                   id=f"{flag}=x...")
+      for flag in ("--order", "--width", "--limit", "--seed", "--budget-ms")),
+    pytest.param("--line-sum", ["generate", "--line-sum", f"3,{NOT_DIGITS}"],
+                 f"--line-sum must be integers, got '3,{'x' * 38}'... "
+                 f"(5002 characters)", id="--line-sum=3,x..."),
+    # Alphabet's own message, which names the flag without its dashes
+    pytest.param("alphabet", ["generate", "--line-sum", "3", "--alphabet",
+                              NOT_DIGITS],
+                 f"alphabet must be decimal digits, got {SHOWN}",
+                 id="--alphabet=x..."),
+    pytest.param("--blocks", ["verify", "--blocks", NOT_DIGITS, "-"],
+                 f"--blocks: expected an integer in ASCII digits, got {SHOWN}",
+                 id="--blocks=x..."),
 ])
-def test_an_oversized_integer_flag_is_named_not_echoed(capsys, flag, argv):
+def test_an_oversized_integer_flag_is_named_not_echoed(capsys, flag, argv,
+                                                       message):
     # past Python's limit int() raises, and argparse or the generate
-    # command would echo all the digits or name no flag
+    # command would echo all the digits or name no flag; a value that is
+    # not digits was echoed whole
     with mock.patch("sys.stdin", io.StringIO("")):
         try:
             code = main(argv)
@@ -1026,8 +1048,8 @@ def test_an_oversized_integer_flag_is_named_not_echoed(capsys, flag, argv):
             code = exc.code
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1].endswith(f"{flag}: {LONGER_THAN_PYTHON}")
-    assert "99999" not in err and len(err) < 1000
+    assert err.splitlines()[-1].endswith(message) and flag in message
+    assert "99999" not in err and "x" * 41 not in err and len(err) < 1000
 
 
 def test_generate_line_sum_takes_ascii_digits_only(capsys):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from digitsquares import (Alphabet, BudgetExhausted, CodeWord, SearchSpec,
 from digitsquares import generate, verify
 from digitsquares.generate import _layer_stream, bimagic_search
 from oracle import (OracleTooLarge, brute_force_squares, count_layers,
-                    smallest_line_sum)
+                    gf3_full_rank, smallest_line_sum)
 
 A012 = Alphabet((0, 1, 2))
 
@@ -375,6 +376,17 @@ def test_gen_square_budget_zero():
         list(gen_square(spec))
 
 
+def test_a_budget_at_the_size_bounds_covers_setup():
+    # the largest request the bounds take builds little before the first
+    # deadline test, so a 1 ms budget ends it at once (about 1.3 ms on a
+    # 2-core Xeon VM); the bound here is generous
+    spec = SearchSpec(order=31, width=961, line_sums=(31,), budget_ms=1)
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted, match="^no square found within 1 ms$"):
+        list(gen_square(spec))
+    assert time.monotonic() - start < 0.5
+
+
 def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(order=2, width=1, line_sums=(1,))
@@ -519,6 +531,24 @@ def test_bimagic_family_is_pinned():
         "b02cd08c2325ca247263c8c88cf3b3ee9be8f92d39dcce27fd7482049d2f5210")
 
 
+def test_full_rank_determinant_agrees_with_elimination(monkeypatch):
+    # the 9216 matrices the family walk decides on, 6912 of them singular,
+    # then a seeded sample of all 4x4 matrices over GF(3), of which
+    # 1 - (2/3)(8/9)(26/27)(80/81), about 44 %, are singular
+    decided = []
+    full_rank = generate._full_rank
+    monkeypatch.setattr(generate, "_full_rank",
+                        lambda m: decided.append(m) or full_rank(m))
+    assert len(list(generate._family_matrices())) == 2304
+    assert len(decided) == 9216
+    rng = random.Random(25)
+    sample = [tuple(tuple(rng.randrange(3) for _ in range(4))
+                    for _ in range(4)) for _ in range(3000)]
+    for matrix in decided + sample:
+        assert full_rank(matrix) == gf3_full_rank(matrix), matrix
+    assert 1200 < sum(not full_rank(m) for m in sample) < 1450
+
+
 def test_bimagic_family_squares_verify_with_any_offsets():
     rng = random.Random(11)
     for matrix in rng.sample(list(generate._family_matrices()), 30):
@@ -561,8 +591,7 @@ def test_bimagic_reverify_rejects_a_broken_square():
     row[0], row[1] = row[1], row[0]
     planes[3] = (tuple(row),) + planes[3][1:]
     with pytest.raises(AssertionError, match="not bimagic"):
-        generate._reverify([[c.value for c in row]
-                            for row in recompose(planes, A012).cells], spec)
+        generate._reverify(recompose(planes, A012), spec)
 
 
 def test_compose_blocks(lo_shu):

@@ -10,7 +10,7 @@ Both sides take their rows, columns, diagonals, broken diagonals and 3x3
 blocks from the one line enumeration in `core`, which `verify` imports and
 `tests/test_verify_oracle.py` holds to the code-word checks in
 `tests/oracle.py`. What this file still checks on its own is the rest of
-the emit loop: the cell values the word table hands to `_reverify`, and
+the emit loop: the square the word table stacks for `_reverify`, and
 the mapping from a spec to its checks (which lines, sums, blocks and cell
 properties `pandiagonal`, `distinct`, `palindromic` and `bimagic` ask for).
 """
