@@ -96,11 +96,11 @@ def is_digit_string(text: object) -> bool:
     return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
-def _quote(value: object, most: int = 40) -> str:
-    # a value as a message shows it: its repr, or past `most` characters of
-    # a string the start and the length, so a long value is not echoed
-    if isinstance(value, str) and len(value) > most:
-        return f"{value[:most]!r}... ({len(value)} characters)"
+def _quote(value: object) -> str:
+    # a value as a message shows it: its repr, or past 40 characters of a
+    # string the start and the length, so a long value is not echoed
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:40]!r}... ({len(value)} characters)"
     return repr(value)
 
 
