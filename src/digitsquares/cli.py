@@ -52,9 +52,7 @@ class SquareDocument:
     alphabet: Alphabet | None = None
 
     @classmethod
-    def from_json_dict(cls, obj: object) -> "SquareDocument":
-        if not isinstance(obj, dict):
-            raise DocumentError("top level must be a JSON object")
+    def from_json_dict(cls, obj: dict) -> "SquareDocument":
         for key in ("order", "width", "rows"):
             if key not in obj:
                 raise DocumentError(f"missing key {key!r}")
@@ -64,15 +62,12 @@ class SquareDocument:
             if (not isinstance(value, int) or isinstance(value, bool)
                     or value < 1):
                 raise DocumentError(
-                    f"{key} must be a positive integer, got {value!r}")
+                    f"{key} must be a positive integer, got {_quote(value)}")
         alphabet = obj.get("alphabet")
         if alphabet is not None:
-            try:
-                alphabet = Alphabet.from_string(alphabet)
-            except ValueError as exc:
-                raise DocumentError(str(exc)) from None
+            alphabet = Alphabet.from_string(alphabet)
         if not isinstance(rows, list) or len(rows) != order:
-            raise DocumentError(f"rows must be a list of {order} rows")
+            raise DocumentError(f"rows must be a list of {_quote(order)} rows")
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != order:
                 raise DocumentError(f"row {i} must be a list of {order} cells")
@@ -82,11 +77,8 @@ class SquareDocument:
         first = self.rows[0][0]
         if is_digit_string(first) and len(first) != self.width:
             raise DocumentError(f"cell (0, 0) is {len(first)} digits wide, "
-                                f"expected {self.width}")
-        try:
-            return Square.from_strings(self.rows, self.alphabet)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from None
+                                f"expected {_quote(self.width)}")
+        return Square.from_strings(self.rows, self.alphabet)
 
 
 def _json_document(square: Square, margin: str = "") -> str:
@@ -125,10 +117,10 @@ def _json_rows(square: Square, margin: str) -> str:
 
 @contextlib.contextmanager
 def _naming(source: str) -> Iterator[None]:
-    """Put the source in front of the message of a DocumentError raised inside."""
+    """Name the source of any ValueError raised while reading a document."""
     try:
         yield
-    except DocumentError as exc:
+    except ValueError as exc:
         raise DocumentError(f"{source}: {exc}") from None
 
 
@@ -172,14 +164,15 @@ def _parse_csv(text: str) -> SquareDocument:
     except ValueError:
         raise DocumentError(
             f"line {number}: header must be '# order,width', "
-            f"got {first!r}") from None
+            f"got {_quote(first)}") from None
     body = [ln for _, ln in lines[1:]]
     try:
         rows = list(csv.reader(io.StringIO("\n".join(body)), strict=True))
     except csv.Error as exc:
         raise DocumentError(f"bad CSV: {exc}") from None
     if len(rows) != order:
-        raise DocumentError(f"expected {order} data rows, got {len(rows)}")
+        raise DocumentError(
+            f"expected {_quote(order)} data rows, got {len(rows)}")
     cleaned = [[cell.strip() for cell in row] for row in rows]
     return SquareDocument.from_json_dict(
         {"order": order, "width": width, "rows": cleaned})
@@ -326,8 +319,8 @@ def _parse_line_sums(raw: str, width: int) -> tuple[int, ...]:
             f"--line-sum must be integers, got {_quote(raw)}") from None
     # one value stands for every place; SearchSpec expands it
     if len(values) not in (1, width):
-        raise DocumentError(
-            f"--line-sum needs 1 or {width} values, got {len(values)}")
+        raise DocumentError(f"--line-sum needs 1 or {_quote(width)} values, "
+                            f"got {len(values)}")
     return values
 
 

@@ -98,10 +98,13 @@ def is_digit_string(text: object) -> bool:
 
 def _quote(value: object) -> str:
     # a value as a message shows it: its repr, or past 40 characters of a
-    # string the start and the length, so a long value is not echoed
-    if isinstance(value, str) and len(value) > 40:
-        return f"{value[:40]!r}... ({len(value)} characters)"
-    return repr(value)
+    # string, or of another value's repr, the start and the length, so a
+    # long value is not echoed
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    start = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{start}... ({len(text)} characters)"
 
 
 #: Digits that read as a digit again after a half turn of the display.
@@ -122,7 +125,8 @@ class Alphabet:
         if not self.digits:
             raise ValueError("alphabet must not be empty")
         if len(set(self.digits)) != len(self.digits):
-            raise ValueError(f"alphabet has repeated digits: {self.digits}")
+            raise ValueError(
+                f"alphabet has repeated digits: {_quote(self.digits)}")
         # the decimal-digit rule of a code word, with its message
         CodeWord(self.digits)
         object.__setattr__(self, "_members", frozenset(self.digits))
@@ -175,7 +179,7 @@ class CodeWord:
             # bool is an int subclass: (False, True) would print as FalseTrue
             if (isinstance(d, bool) or not isinstance(d, int)
                     or not 0 <= d <= 9):
-                raise ValueError(f"not a decimal digit: {d!r}")
+                raise ValueError(f"not a decimal digit: {_quote(d)}")
             value = value * 10 + d
         object.__setattr__(self, "value", value)
         # one %d per digit: the digits are ints 0-9
@@ -184,7 +188,7 @@ class CodeWord:
     @classmethod
     def from_string(cls, text: str) -> "CodeWord":
         if not is_digit_string(text):
-            raise ValueError(f"not a digit string: {text!r}")
+            raise ValueError(f"not a digit string: {_quote(text)}")
         return cls(tuple(map(int, text)))
 
     def __str__(self) -> str:
@@ -263,7 +267,7 @@ class Square:
                 except (TypeError, ValueError):
                     # an unhashable cell, or a cell that is not a digit string
                     raise ValueError(f"cell ({i}, {j}) must be a digit "
-                                     f"string, got {text!r}") from None
+                                     f"string, got {_quote(text)}") from None
                 line.append(word)
             cells.append(tuple(line))
         return cls(tuple(cells), alphabet)
@@ -451,7 +455,8 @@ def _broken_diagonals(values: Sequence[Sequence[int]]) -> list[list[int]]:
 def _block_sums(values: Sequence[Sequence[int]], k: int) -> list[int]:
     n = len(values)
     if k < 1 or k > n or n % k != 0:
-        raise BadBlockSize(f"block size {k} does not tile a square of order {n}")
+        raise BadBlockSize(
+            f"block size {_quote(k)} does not tile a square of order {n}")
     # each row's k-wide chunk sums, then k rows of chunks per block row
     chunks = [[sum(row[j:j + k]) for j in range(0, n, k)] for row in values]
     return [s for i in range(0, n, k) for s in map(sum, zip(*chunks[i:i + k]))]

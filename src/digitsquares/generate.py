@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 
 from .core import (Alphabet, BudgetExhausted, Grid, Square, Unsatisfiable,
                    WordTable, _block_sums, _broken_diagonals, _common_sums,
-                   _lines, _values, recompose)
+                   _lines, _quote, _values, recompose)
 
 
 # the largest order and number of searched digit places a layer search
@@ -90,11 +90,14 @@ class SearchSpec:
 
     def __post_init__(self):
         if self.order < 3:
-            raise ValueError(f"order must be at least 3, got {self.order}")
+            raise ValueError(
+                f"order must be at least 3, got {_quote(self.order)}")
         if self.width < 1:
-            raise ValueError(f"width must be at least 1, got {self.width}")
+            raise ValueError(
+                f"width must be at least 1, got {_quote(self.width)}")
         if self.limit < 1:
-            raise ValueError(f"limit must be at least 1, got {self.limit}")
+            raise ValueError(
+                f"limit must be at least 1, got {_quote(self.limit)}")
         if self.seed < 0:
             raise ValueError("seed must not be negative")
         if self.budget_ms is not None and self.budget_ms < 0:
@@ -104,10 +107,10 @@ class SearchSpec:
         if not self.bimagic and (
                 self.order > _MAX_ORDER or self.places > _MAX_PLACES):
             raise ValueError(
-                f"order {self.order} with width {self.width} is too large a "
-                f"search: the order may be at most {_MAX_ORDER} and the "
-                f"searched places (half the width when palindromic) at most "
-                f"{_MAX_PLACES}")
+                f"order {_quote(self.order)} with width {_quote(self.width)} "
+                f"is too large a search: the order may be at most "
+                f"{_MAX_ORDER} and the searched places (half the width when "
+                f"palindromic) at most {_MAX_PLACES}")
         if self.bimagic:
             if (self.order, self.width) != (9, 4):
                 raise ValueError("bimagic search supports only order 9, width 4")
@@ -358,11 +361,11 @@ def gen_square(spec: SearchSpec,
     for p, s in enumerate(spec.line_sums):
         if not n * lo <= s <= n * hi:
             raise Unsatisfiable(
-                f"line sum {s} at place {p} is outside [{n * lo}, {n * hi}] "
-                f"for order {n} over {spec.alphabet}")
+                f"line sum {_quote(s)} at place {p} is outside "
+                f"[{n * lo}, {n * hi}] for order {n} over {spec.alphabet}")
     if spec.palindromic and spec.line_sums != spec.line_sums[::-1]:
         raise Unsatisfiable("palindromic cells force mirror-symmetric line "
-                            f"sums, got {spec.line_sums}")
+                            f"sums, got {_quote(spec.line_sums)}")
     if spec.distinct:
         # a cell shares its row with n-1 digits in [lo, hi], so at a place
         # with sum s it holds a digit d with s-(n-1)hi <= d <= s-(n-1)lo;

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -92,6 +93,29 @@ def test_verify_checks_set_the_exit_code(capsys, ext_path):
     assert "check bimagic: FAIL" in out
     # captured output is not a terminal, so no escape codes
     assert "\x1b[" not in out
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("no_color", [None, "1"], ids=["color", "NO_COLOR"])
+def test_verify_colors_its_verdicts_on_a_terminal(monkeypatch, ext_path,
+                                                  no_color):
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    monkeypatch.setattr("sys.stdout", _Terminal())
+    code = main(["verify", "--magic", "--bimagic", ext_path])
+    out = sys.stdout.getvalue()
+    assert code == 1
+    if no_color is None:
+        assert "check magic: \x1b[32mPASS\x1b[0m\n" in out
+        assert "check bimagic: \x1b[31mFAIL\x1b[0m\n" in out
+    else:
+        assert "check magic: PASS\n" in out and "\x1b[" not in out
 
 
 def test_verify_blocks_flag(capsys, ext_path):
@@ -249,7 +273,8 @@ MALFORMED = {
         f"invalid JSON: {_too_long_for_int()}"),
     "csv header number of 5000 digits": (
         b"# " + b"9" * 5000 + b",1\n1\n",
-        "line 1: header must be '# order,width', got '# " + "9" * 5000 + ",1'"),
+        "line 1: header must be '# order,width', got '# " + "9" * 38
+        + "'... (5004 characters)"),
     # the cases of test_verify_rejects_non_ascii_digits_and_repeats
     "superscript cell": (js({"order": 1, "width": 1, "rows": [["²"]]}),
                          "cell (0, 0) must be a digit string, got '²'"),
@@ -384,6 +409,39 @@ MALFORMED = {
         js(_with_rows([[1001, *R[0][1:]], [R[1][0], "11111", R[1][2]], R[2]])),
         "cell (0, 0) must be a digit string, got 1001"),
     "missing order and rows": (js({"width": True}), "missing key 'order'"),
+    # a value past 40 characters is shown by its first 40 and its length
+    "alphabet of 5000 ones": (
+        js({"order": 1, "width": 1, "alphabet": "1" * 5000, "rows": [["1"]]}),
+        f"alphabet has repeated digits: {'(' + '1, ' * 13}... "
+        "(15000 characters)"),
+    "cell of 5000 x": (js({"order": 1, "width": 1, "rows": [["x" * 5000]]}),
+                       "cell (0, 0) must be a digit string, got "
+                       f"'{'x' * 40}'... (5000 characters)"),
+    "cell a list of 3000 strings": (
+        js({"order": 1, "width": 1, "rows": [[["x"] * 3000]]}),
+        "cell (0, 0) must be a digit string, got "
+        f"{str(['x'] * 9)[:40]}... (15000 characters)"),
+    "cell an object with a long key": (
+        js({"order": 1, "width": 1, "rows": [[{"x" * 5000: 1}]]}),
+        f"cell (0, 0) must be a digit string, got {{'{'x' * 38}... "
+        "(5007 characters)"),
+    "order of 5000 x": (js({"order": "x" * 5000, "width": 1, "rows": [["1"]]}),
+                        "order must be a positive integer, got "
+                        f"'{'x' * 40}'... (5000 characters)"),
+    "order a list of 3000 ints": (
+        js({"order": [1] * 3000, "width": 1, "rows": [["1"]]}),
+        f"order must be a positive integer, got {'[' + '1, ' * 13}... "
+        "(9000 characters)"),
+    "order of 4000 digits": (
+        js({"order": 10 ** 4000 - 1, "width": 1, "rows": [["1"]]}),
+        f"rows must be a list of {'9' * 40}... (4000 characters) rows"),
+    "width of 4000 digits": (
+        js({"order": 1, "width": 10 ** 4000 - 1, "rows": [["1"]]}),
+        f"cell (0, 0) is 1 digits wide, expected {'9' * 40}... "
+        "(4000 characters)"),
+    "csv order of 4000 digits": (
+        b"# " + b"9" * 4000 + b",1\n1\n",
+        f"expected {'9' * 40}... (4000 characters) data rows, got 1"),
 }
 
 
@@ -407,6 +465,8 @@ def test_malformed_documents_exit_2_naming_the_source(capsys, tmp_path,
     code, out, err = run(capsys, *command, source)
     shown = "<stdin>" if from_stdin else source
     assert (code, out, err) == (2, "", f"error: {shown}: {message}\n")
+    # no value is echoed whole
+    assert len(err) < 1000 and not re.search(r"(.)\1{40}", err)
 
 
 @st.composite
@@ -1050,6 +1110,52 @@ def test_an_oversized_integer_flag_is_named_not_echoed(capsys, flag, argv,
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith(message) and flag in message
     assert "99999" not in err and "x" * 41 not in err and len(err) < 1000
+
+
+# an integer within Python's limit, which every integer flag takes
+_NINES = "9" * 4000
+_NINES_SHOWN = f"{'9' * 40}... (4000 characters)"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["generate", "--line-sum", "3", "--alphabet", "1" * 5000], 2,
+                 f"error: alphabet has repeated digits: {'(' + '1, ' * 13}... "
+                 "(15000 characters)", id="--alphabet=1..."),
+    pytest.param(["generate", "--line-sum", "3", "--order", _NINES], 2,
+                 f"error: order {_NINES_SHOWN} with width 1 is too large a "
+                 "search: the order may be at most 31 and the searched "
+                 "places (half the width when palindromic) at most 961",
+                 id="--order=9..."),
+    *(pytest.param(["generate", "--line-sum", "3", f"--{flag}", "-" + _NINES],
+                   2, f"error: {flag} must be at least {least}, got "
+                      f"-{'9' * 39}... (4001 characters)",
+                   id=f"--{flag}=-9...")
+      for flag, least in (("order", 3), ("width", 1), ("limit", 1))),
+    pytest.param(["generate", "--line-sum", "3,3", "--width", _NINES], 2,
+                 f"error: --line-sum needs 1 or {_NINES_SHOWN} values, got 2",
+                 id="--width=9..."),
+    pytest.param(["generate", "--line-sum", _NINES], 3,
+                 f"no squares: line sum {_NINES_SHOWN} at place 0 is outside "
+                 "[0, 6] for order 3 over 012", id="--line-sum=9..."),
+    pytest.param(["generate", "--width", "1922", "--palindromic",
+                  "--line-sum", "3," * 1921 + "6"], 3,
+                 "no squares: palindromic cells force mirror-symmetric line "
+                 f"sums, got {'(' + '3, ' * 13}... (5766 characters)",
+                 id="--line-sum=3,...,6"),
+    pytest.param(["verify", "--blocks", _NINES, "-"], 2,
+                 f"error: block size {_NINES_SHOWN} does not tile a square "
+                 "of order 1", id="--blocks=9..."),
+])
+def test_a_long_flag_value_is_shown_by_its_start_and_length(capsys, argv,
+                                                            code, message):
+    # a value past 40 characters is shown by its first 40 and its length,
+    # as in a document, also where the search or the verifier refuses it
+    doc = '{"order": 1, "width": 1, "rows": [["1"]]}'
+    with mock.patch("sys.stdin", io.StringIO(doc)):
+        assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message + "\n")
+    assert len(err) < 1000 and not re.search(r"(.)\1{40}", err)
 
 
 def test_generate_line_sum_takes_ascii_digits_only(capsys):

@@ -15,7 +15,7 @@ from digitsquares import (Alphabet, CodeWord, MIRROR, NonMirrorableDigit,
                           decompose, gen_square, mirror_codeword,
                           mirror_square, palindromic_extend, recompose,
                           rotate_codeword, rotate_square)
-from digitsquares.core import UnmappableDigit, WordTable
+from digitsquares.core import UnmappableDigit, WordTable, _quote
 
 
 def word(text):
@@ -52,6 +52,19 @@ def test_non_digit_strings_are_rejected_once_checked(text):
     with pytest.raises(ValueError, match=re.escape(
             f"cell (0, 1) must be a digit string, got {text!r}")):
         Square.from_strings([["1", text], ["2", "3"]])
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("x" * 40, repr("x" * 40)),
+    ("x" * 41, f"'{'x' * 40}'... (41 characters)"),
+    (10 ** 39, str(10 ** 39)),
+    (10 ** 40, f"{10 ** 39}... (41 characters)"),
+    ((1,) * 13, str((1,) * 13)),
+    ((1,) * 14, f"{str((1,) * 14)[:40]}... (42 characters)"),
+], ids=["str-40", "str-41", "int-40", "int-41", "tuple-39", "tuple-42"])
+def test_a_value_past_40_characters_is_shown_by_its_start(value, shown):
+    # a string by its own characters, any other value by those of its repr
+    assert _quote(value) == shown
 
 
 def test_codeword_from_string_is_the_word_of_its_digits():

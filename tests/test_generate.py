@@ -1,5 +1,6 @@
 """Layer search, the layered square search, bimagic construction, oracles."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -270,6 +271,58 @@ def test_the_layer_search_finds_as_many_layers_as_a_row_by_row_count(
         assert found == count_layers(order, alphabet, s, pandiagonal) == count
 
 
+@st.composite
+def layer_requests(draw):
+    # order 3-4, or 5 over at most 3 digits; each sum lies from one below
+    # the least a layer can have to one above the most, and half of them
+    # are the sum of a row of alphabet digits, which more often has layers
+    order = draw(st.integers(3, 5))
+    size = draw(st.integers(1, 3 if order == 5 else 4))
+    alphabet = Alphabet(tuple(draw(st.permutations(range(10)))[:size]))
+    width = draw(st.integers(1, 3))
+    lo, hi = order * alphabet.min_digit, order * alphabet.max_digit
+    row = st.lists(st.sampled_from(alphabet.digits), min_size=order,
+                   max_size=order).map(sum)
+    sums = tuple(draw(st.lists(st.integers(lo - 1, hi + 1) | row,
+                               min_size=width, max_size=width)))
+    return SearchSpec(order=order, width=width, alphabet=alphabet,
+                      line_sums=sums, pandiagonal=draw(st.booleans()),
+                      palindromic=width == 2 and draw(st.booleans()),
+                      deterministic=True)
+
+
+_layer_count = functools.cache(count_layers)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(layer_requests())
+def test_a_request_has_a_square_exactly_when_every_place_has_a_layer(spec):
+    # admission and the search together against the row-by-row count: a
+    # square exists when every searched place has a layer and palindromic
+    # sums mirror; a refusal before the search names its reason
+    counts = [_layer_count(spec.order, spec.alphabet, s, spec.pandiagonal)
+              for s in spec.line_sums[:spec.places]]
+    symmetric = not spec.palindromic or (
+        spec.line_sums == spec.line_sums[::-1])
+    try:
+        square = next(gen_square(spec))
+    except Unsatisfiable as exc:
+        assert not (all(counts) and symmetric)
+        message = str(exc)
+        refused = re.match(r"line sum (-?\d+) at place (\d+) ", message)
+        if refused:
+            s, p = map(int, refused.groups())
+            assert s == spec.line_sums[p] and _layer_count(
+                spec.order, spec.alphabet, s, spec.pandiagonal) == 0
+        elif message.startswith("palindromic"):
+            assert not symmetric
+        else:
+            assert message == "search space exhausted without finding a square"
+    else:
+        assert all(counts) and symmetric
+        assert square.alphabet == spec.alphabet
+
+
 def _factors(x, p):
     # how many times p divides the nonzero integer x
     count = 0
@@ -500,6 +553,15 @@ def test_bimagic_search_limit_and_distinct_stream():
     squares = list(bimagic_search(spec))
     assert len(squares) == 4
     assert len({sq.cells for sq in squares}) == 4
+
+
+def test_the_deterministic_bimagic_walk_ends_after_its_family():
+    # one square per coefficient matrix of the family, with zero offsets;
+    # a limit past the family ends the walk instead of raising Unsatisfiable
+    spec = SearchSpec(order=9, width=4, bimagic=True, limit=3000,
+                      deterministic=True)
+    squares = list(gen_square(spec))
+    assert len(squares) == len({sq.cells for sq in squares}) == 2304
 
 
 def test_bimagic_extension_to_width_8():
