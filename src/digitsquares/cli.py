@@ -22,15 +22,15 @@ import contextlib
 import io
 import os
 import sys
-from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
 # a call imports only what its subcommand runs: generate, sevenseg, verify,
 # csv and json are imported inside the functions that use them
 from .core import (SUM_PROPERTIES, Alphabet, BadBlockSize, BudgetExhausted,
                    Grid, InvalidState, ShapeMismatch, Square, Unsatisfiable,
-                   UnmappableDigit, _common, _lines, _quote, _word_text,
-                   decompose, is_digit_string, mirror_square, rotate_square)
+                   UnmappableDigit, _common, _lines, _quote, _Record,
+                   _word_text, decompose, is_digit_string, mirror_square,
+                   rotate_square)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -42,8 +42,7 @@ class DocumentError(ValueError):
     """Anything wrong with an input document; the message says what and where."""
 
 
-@dataclass
-class SquareDocument:
+class SquareDocument(_Record):
     """A document of checked shape; ``to_square`` checks the declared width,
     which Square cannot know, on cell (0, 0) and leaves the cells to Square."""
 
@@ -274,8 +273,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for k, common in rep.blocks:
             print(f"block {k}: {common if common is not None else 'none'}")
         print("entries: " + " ".join(
-            f"{_label(name)}={_yesno(flag)}"
-            for name, flag in asdict(rep.entries).items()))
+            f"{_label(name)}={_yesno(getattr(rep.entries, name))}"
+            for name in ("palindromic", "distinct", "rotation_closed")))
         if args.lines:
             print("lines:")
             for ln in rep.lines:

@@ -28,12 +28,11 @@ import operator
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import (Alphabet, BudgetExhausted, Grid, Square, Unsatisfiable,
                    WordTable, _block_sums, _broken_diagonals, _common_sums,
-                   _lines, _quote, _values, recompose)
+                   _lines, _quote, _Record, _values, recompose)
 
 
 # the largest order and number of searched digit places a layer search
@@ -48,8 +47,7 @@ class _DeadlineHit(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(_Record):
     """What to search for.
 
     ``line_sums`` gives the target line sum of each digit plane, most
@@ -68,7 +66,7 @@ class SearchSpec:
     A layer search of order above 31, or of more than 961 searched places
     (half the width when ``palindromic``), is rejected with ValueError
     before anything is built. Searches stall below these bounds too;
-    ``budget_ms`` bounds a search's time.
+    ``budget_ms`` bounds a search's time, and must be below 10**308.
 
     ``places`` is the number of digit places searched, half the width when
     ``palindromic``, and ``s1`` the line sum every emitted square will
@@ -102,6 +100,10 @@ class SearchSpec:
             raise ValueError("seed must not be negative")
         if self.budget_ms is not None and self.budget_ms < 0:
             raise ValueError("budget must not be negative")
+        if self.budget_ms is not None and self.budget_ms >= 10 ** 308:
+            # the deadline is a float of seconds, and floats end near 1.8e308
+            raise ValueError(f"budget must be below 10**308 ms, got "
+                             f"{_quote(self.budget_ms)}")
         object.__setattr__(self, "places", self.width // 2 if self.palindromic
                            else self.width)
         if not self.bimagic and (

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import (SUM_PROPERTIES, BadBlockSize, CodeWord, InvalidState,
                    NonRotatableDigit, Square, _block_sums, _broken_diagonals,
-                   _common, _common_sums, _lines, _values, rotate_codeword)
+                   _common, _common_sums, _lines, _Record, _values,
+                   rotate_codeword)
 
 
 #: A code word's digit tuple, its key in a count: a tuple hashes in C.
@@ -39,8 +39,7 @@ class NotDivisible(ArithmeticError):
             f"(exact value {self.exact}, remainder {self.remainder})")
 
 
-@dataclass(frozen=True)
-class LineSum:
+class LineSum(_Record):
     """One line of a square: its label, digit sum and sum of squares."""
 
     label: str
@@ -93,8 +92,7 @@ def check_blocks(square: Square, k: int) -> int | None:
     return _common(_block_sums(_values(square), k))
 
 
-@dataclass(frozen=True)
-class EntryProperties:
+class EntryProperties(_Record):
     """Cell-level facts that do not depend on any line sums."""
 
     palindromic: bool
@@ -116,8 +114,7 @@ def entry_properties(square: Square) -> EntryProperties:
     return EntryProperties(palindromic, distinct, closed)
 
 
-@dataclass(frozen=True)
-class PythagorasResult:
+class PythagorasResult(_Record):
     a: int
     b: int
     c: int
@@ -155,8 +152,7 @@ def s2_from_multiset(entries: Iterable[CodeWord | int], order: int) -> int:
     return total // order
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Everything the verifier can say about one square."""
 
     order: int
@@ -179,7 +175,8 @@ class PropertyReport:
             "s2": self.s2,
             **{name: getattr(self, name) for name in SUM_PROPERTIES},
             "blocks": [{"size": k, "sum": s} for k, s in self.blocks],
-            "entries": asdict(self.entries),
+            "entries": {name: getattr(self.entries, name) for name in
+                        ("palindromic", "distinct", "rotation_closed")},
             "lines": [{"label": ln.label, "sum": ln.total,
                        "square_sum": ln.square_total} for ln in self.lines],
         }
@@ -212,8 +209,7 @@ def report(square: Square) -> PropertyReport:
     )
 
 
-@dataclass(frozen=True)
-class ClaimAudit:
+class ClaimAudit(_Record):
     """One circulated constant checked against an independently computed value."""
 
     label: str

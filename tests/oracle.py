@@ -9,10 +9,12 @@ their line geometry on code words as it was before every check ran on one
 enumeration of plain-int lines; and for the read path, the reader,
 transforms and drawing as they were cell by cell, before each distinct
 word was handled once, and the Square's check of its cells as it went
-through them one by one."""
+through them one by one; for the package's records, the dataclasses they
+were."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -500,3 +502,92 @@ def report(square: Square) -> PropertyReport:
         entries=entry_properties(square),
         lines=lines,
     )
+
+
+# The package's ten records as the dataclasses they were before they became
+# plain classes: the same fields, defaults and frozen and order flags,
+# without the checks of __post_init__.
+@dataclasses.dataclass(frozen=True)
+class AlphabetTwin:
+    digits: tuple[int, ...] = (0, 1, 2)
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class CodeWordTwin:
+    digits: tuple[int, ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class SquareTwin:
+    cells: tuple[tuple[CodeWord, ...], ...]
+    alphabet: Alphabet | None = None
+
+
+@dataclasses.dataclass
+class SquareDocumentTwin:
+    width: int
+    rows: list[list[str]]
+    alphabet: Alphabet | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class SearchSpecTwin:
+    order: int
+    width: int
+    alphabet: Alphabet = Alphabet()
+    line_sums: tuple[int, ...] | None = None
+    pandiagonal: bool = False
+    distinct: bool = False
+    palindromic: bool = False
+    bimagic: bool = False
+    limit: int = 1
+    seed: int = 0
+    budget_ms: int | None = None
+    deterministic: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class LineSumTwin:
+    label: str
+    total: int
+    square_total: int
+
+
+@dataclasses.dataclass(frozen=True)
+class EntryPropertiesTwin:
+    palindromic: bool
+    distinct: bool
+    rotation_closed: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class PythagorasResultTwin:
+    a: int
+    b: int
+    c: int
+    left: int
+    right: int
+
+
+@dataclasses.dataclass(frozen=True)
+class PropertyReportTwin:
+    order: int
+    width: int
+    s1: int | None
+    s2: int | None
+    magic: bool
+    bimagic: bool
+    pandiagonal: bool
+    pandiagonal_bimagic: bool
+    blocks: tuple[tuple[int, int | None], ...]
+    entries: EntryProperties
+    lines: tuple[LineSum, ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class ClaimAuditTwin:
+    label: str
+    claimed: tuple[int, ...]
+    computed: int
+    consistent: tuple[bool, ...]
+    note: str

@@ -1145,6 +1145,11 @@ _NINES_SHOWN = f"{'9' * 40}... (4000 characters)"
     pytest.param(["verify", "--blocks", _NINES, "-"], 2,
                  f"error: block size {_NINES_SHOWN} does not tile a square "
                  "of order 1", id="--blocks=9..."),
+    # past 10**308 ms the deadline overflowed a float, with a traceback
+    pytest.param(["generate", "--line-sum", "3", "--budget-ms",
+                  "1" + "0" * 400], 2,
+                 f"error: budget must be below 10**308 ms, got 1{'0' * 39}... "
+                 "(401 characters)", id="--budget-ms=10**400"),
 ])
 def test_a_long_flag_value_is_shown_by_its_start_and_length(capsys, argv,
                                                             code, message):

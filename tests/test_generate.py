@@ -470,6 +470,22 @@ def test_search_spec_validation():
     assert (spec.alphabet, spec.line_sums) == (A012, (9, 9, 9, 9))
 
 
+@pytest.mark.parametrize("budget_ms", [10 ** 308, 10 ** 400],
+                         ids=["10**308", "10**400"])
+def test_search_spec_refuses_a_budget_no_deadline_can_hold(budget_ms):
+    # budget_ms / 1000.0 raised OverflowError from the first search step
+    shown = f"{str(budget_ms)[:40]}... ({len(str(budget_ms))} characters)"
+    with pytest.raises(ValueError, match=re.escape(
+            f"budget must be below 10**308 ms, got {shown}")):
+        SearchSpec(order=3, width=1, line_sums=(3,), budget_ms=budget_ms)
+
+
+def test_a_budget_of_308_digits_still_runs():
+    spec = SearchSpec(order=3, width=1, line_sums=(3,),
+                      budget_ms=10 ** 308 - 1)
+    assert check_magic(next(gen_square(spec))) == 3
+
+
 @pytest.mark.parametrize("order, width, palindromic", [
     # the largest requests the recursion-limit rule let through
     (31, 9, False), (20, 570, False), (3, 961, False), (3, 1922, True),

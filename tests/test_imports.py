@@ -32,19 +32,26 @@ DOC = json.dumps({"order": 3, "width": 1, "alphabet": "012",
 
 def loaded(tmp_path, *argv, stdin=""):
     """Run ``python -X importtime -m digitsquares *argv``; its exit code,
-    the package submodules in its sys.modules at exit, and those that
-    -X importtime timed."""
+    the package submodules in its sys.modules at exit, those that
+    -X importtime timed, and the modules outside the package it loaded
+    beyond those of ``python -c pass`` in the same environment."""
     (tmp_path / "sitecustomize.py").write_text(DUMP_AT_EXIT)
     dump = tmp_path / "modules.txt"
     env = dict(os.environ, LOADED_MODULES_FILE=str(dump),
                PYTHONPATH=os.pathsep.join((str(tmp_path), str(SRC))))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "digitsquares", *argv],
-        input=stdin, capture_output=True, text=True, env=env, timeout=60)
-    names = set(dump.read_text().split("\n"))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              input=stdin, capture_output=True, text=True,
+                              env=env, timeout=60)
+        return proc, set(dump.read_text().split("\n"))
+
+    _, bare = run("-c", "pass")
+    proc, names = run("-m", "digitsquares", *argv)
     timed = set(re.findall(r"\| +digitsquares\.(\w+)$", proc.stderr, re.M))
-    return proc.returncode, {m for m in SUBMODULES
-                             if f"digitsquares.{m}" in names}, timed
+    return (proc.returncode, {m for m in SUBMODULES
+                              if f"digitsquares.{m}" in names}, timed,
+            {m for m in names - bare if m.split(".")[0] != "digitsquares"})
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -61,8 +68,12 @@ def loaded(tmp_path, *argv, stdin=""):
      {"cli", "core", "generate"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    code, submodules, timed, others = loaded(tmp_path, *argv, stdin=DOC)
     # a module loaded on first use is still timed by -X importtime
-    assert loaded(tmp_path, *argv, stdin=DOC) == (0, modules, modules)
+    assert (code, submodules, timed) == (0, modules, modules)
+    # dataclasses imports inspect, with ast, dis and tokenize: about 4 ms
+    # of each call's start
+    assert not {"dataclasses", "inspect"} & others, sorted(others)
 
 
 def test_plain_import_loads_no_submodule():
