@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import sys
 from typing import Iterable, Iterator, TextIO
 
@@ -431,8 +432,21 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # also each subcommand's parser, which add_subparsers makes of its class
+
+    def error(self, message):
+        # argparse's own messages echo a value whole (an invalid choice, an
+        # unrecognized argument): each word past 40 characters, unless its
+        # length follows it, is shown by its first 40 and its length
+        super().error(re.sub(
+            r"\S{41,}(?!\S| \(\d+ characters\))",
+            lambda word: f"{word[0][:40]}... ({len(word[0])} characters)",
+            message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="digitsquares",
         description="Generate, transform, verify and draw digit squares.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -100,6 +100,14 @@ def _quote(value: object) -> str:
     # a value as a message shows it: its repr, or past 40 characters of a
     # string, or of another value's repr, the start and the length, so a
     # long value is not echoed
+    if isinstance(value, int) and value.bit_length() > 200:
+        # an int of 61 digits or more; past Python's int-to-string limit
+        # (4300 digits by default) repr raises, so a start of 41 digits or
+        # more is divided off, and the skip digits it drops are counted
+        size = abs(value)
+        skip = (size.bit_length() - 1) * 30102 // 100000 - 40
+        top = "-" * (value < 0) + str(size // 10 ** skip)
+        return f"{top[:40]}... ({skip + len(top)} characters)"
     text = value if isinstance(value, str) else repr(value)
     if len(text) <= 40:
         return repr(value)
@@ -125,26 +133,19 @@ class _Record:
         cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        # not through self.__dict__, which would slow each later read
-        for name, value in zip(self._fields, args):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args, kwargs):
-        # each field's value by position, keyword or default; a keyword
-        # left over is unknown or repeats a field given by position
-        values = list(args)
-        for name in cls._fields[len(args):]:
-            if name not in kwargs and name not in cls._defaults:
+        # each field's value by position, keyword or default (self stands
+        # for none: no caller holds it yet), set not through self.__dict__,
+        # which would slow each later read
+        for i, name in enumerate(self._fields):
+            value = args[i] if i < len(args) else kwargs.pop(
+                name, self._defaults.get(name, self))
+            if value is self:
                 break
-            values.append(kwargs.pop(name, cls._defaults.get(name)))
-        if kwargs or len(values) != len(cls._fields):
-            raise TypeError(f"{cls.__qualname__}() takes the fields "
-                            f"{', '.join(cls._fields)}, each once")
-        return values
+            object.__setattr__(self, name, value)
+        if value is self or kwargs or len(args) > len(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields "
+                            f"{', '.join(self._fields)}, each once")
+        self.__post_init__()
 
     def __post_init__(self):
         pass
@@ -223,22 +224,20 @@ class CodeWord(_Record):
 
     digits: tuple[int, ...]
 
-    def __init__(self, digits: tuple[int, ...]):
-        # made in loops, so not by the generic __init__: 0.3 us less a word
-        if not digits:
+    def __post_init__(self):
+        if not self.digits:
             raise ValueError("code word must have at least one digit")
         # exact: Python ints never overflow
         value = 0
-        for d in digits:
+        for d in self.digits:
             # bool is an int subclass: (False, True) would print as FalseTrue
             if (isinstance(d, bool) or not isinstance(d, int)
                     or not 0 <= d <= 9):
                 raise ValueError(f"not a decimal digit: {_quote(d)}")
             value = value * 10 + d
-        object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "value", value)
         # one %d per digit: the digits are ints 0-9
-        object.__setattr__(self, "_text", "%d" * len(digits) % digits)
+        object.__setattr__(self, "_text", "%d" * len(self.digits) % self.digits)
 
     @classmethod
     def from_string(cls, text: str) -> "CodeWord":

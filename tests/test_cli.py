@@ -1163,6 +1163,28 @@ def test_a_long_flag_value_is_shown_by_its_start_and_length(capsys, argv,
     assert len(err) < 1000 and not re.search(r"(.)\1{40}", err)
 
 
+_XS = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["generate", "--line-sum", "3", "--format", _XS],
+     f"invalid choice: '{'x' * 39}... (5002 characters)"),
+    ([_XS], f"'{'x' * 39}... (5002 characters)"),
+    (["verify", "-", _XS],
+     f"unrecognized arguments: {'x' * 40}... (5000 characters)"),
+], ids=["--format=x...", "command=x...", "verify - x..."])
+def test_argparse_shows_a_long_value_by_its_start_and_length(capsys, argv,
+                                                              shown):
+    # argparse's own messages: each word past 40 characters, here the
+    # value's repr or the value, is shown by its first 40 and its length
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and shown in err.splitlines()[-1]
+    assert len(err) < 1000 and not re.search(r"(.)\1{40}", err)
+
+
 def test_generate_line_sum_takes_ascii_digits_only(capsys):
     for raw in ("\u0663", "3,\u0663,3"):
         code, _, err = run(capsys, "generate", "--order", "3", "--width", "3",

@@ -60,10 +60,25 @@ def test_non_digit_strings_are_rejected_once_checked(text):
     (10 ** 40, f"{10 ** 39}... (41 characters)"),
     ((1,) * 13, str((1,) * 13)),
     ((1,) * 14, f"{str((1,) * 14)[:40]}... (42 characters)"),
-], ids=["str-40", "str-41", "int-40", "int-41", "tuple-39", "tuple-42"])
+    # past Python's int-to-string limit, where repr raises
+    (10 ** 5000, f"1{'0' * 39}... (5001 characters)"),
+    (-10 ** 5000, f"-1{'0' * 38}... (5002 characters)"),
+], ids=["str-40", "str-41", "int-40", "int-41", "tuple-39", "tuple-42",
+        "int-5001", "int-minus-5002"])
 def test_a_value_past_40_characters_is_shown_by_its_start(value, shown):
     # a string by its own characters, any other value by those of its repr
     assert _quote(value) == shown
+
+
+def test_a_long_int_is_shown_by_division_as_by_its_repr():
+    # within Python's int-to-string limit, the start divided off and the
+    # digits counted are those of the repr, on each side of each power of
+    # ten from 10**58, where division takes over from repr
+    for k in (*range(58, 200), 1000, 4299):
+        for value in (10 ** k - 1, 10 ** k, 1 - 10 ** k, -10 ** k,
+                      2 ** (3 * k)):
+            text = repr(value)
+            assert _quote(value) == f"{text[:40]}... ({len(text)} characters)"
 
 
 def test_codeword_from_string_is_the_word_of_its_digits():

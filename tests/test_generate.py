@@ -443,6 +443,11 @@ def test_a_budget_at_the_size_bounds_covers_setup():
 def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(order=2, width=1, line_sums=(1,))
+    # an order past Python's int-to-string limit is shown by its start
+    with pytest.raises(ValueError, match=re.escape(
+            f"order must be at least 3, got -1{'0' * 38}... "
+            "(5002 characters)")):
+        SearchSpec(order=-10 ** 5000, width=1, line_sums=(3,))
     with pytest.raises(ValueError, match="^need 1 or 2 line sums, got 3$"):
         SearchSpec(order=3, width=2, line_sums=(3, 3, 3))
     # one sum stands for every place
@@ -470,14 +475,16 @@ def test_search_spec_validation():
     assert (spec.alphabet, spec.line_sums) == (A012, (9, 9, 9, 9))
 
 
-@pytest.mark.parametrize("budget_ms", [10 ** 308, 10 ** 400],
-                         ids=["10**308", "10**400"])
-def test_search_spec_refuses_a_budget_no_deadline_can_hold(budget_ms):
-    # budget_ms / 1000.0 raised OverflowError from the first search step
-    shown = f"{str(budget_ms)[:40]}... ({len(str(budget_ms))} characters)"
+@pytest.mark.parametrize("exponent", [308, 400, 5000],
+                         ids=["10**308", "10**400", "10**5000"])
+def test_search_spec_refuses_a_budget_no_deadline_can_hold(exponent):
+    # budget_ms / 1000.0 raised OverflowError from the first search step;
+    # past 4300 digits, showing the budget raised Python's int-to-string
+    # limit instead of the refusal
+    shown = f"1{'0' * 39}... ({exponent + 1} characters)"
     with pytest.raises(ValueError, match=re.escape(
             f"budget must be below 10**308 ms, got {shown}")):
-        SearchSpec(order=3, width=1, line_sums=(3,), budget_ms=budget_ms)
+        SearchSpec(order=3, width=1, line_sums=(3,), budget_ms=10 ** exponent)
 
 
 def test_a_budget_of_308_digits_still_runs():
