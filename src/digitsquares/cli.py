@@ -393,6 +393,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: A digit plane's row as bytes 0-9, translated to its text.
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _json_layers(order: int, width: int,
                  layers: list[tuple[int, int | None, Grid]]) -> str:
     """The decompose document, as ``json.dumps(doc, indent=2)`` writes it.
@@ -404,7 +408,8 @@ def _json_layers(order: int, width: int,
     entries = []
     for p, (scale, line_sum, grid) in enumerate(layers):
         rows = ",\n        ".join(
-            "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
+            "[\n          " + ",\n          ".join(
+                bytes(row).translate(_DIGIT_TEXT).decode()) + "\n        ]"
             for row in grid)
         entries.append(
             f'    {{\n      "place": {p},\n      "scale": {scale},\n'
@@ -432,16 +437,26 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# what argparse's own messages echo of the command line, each at the end
+# or before argparse's own list of choices or options: the repr of an
+# invalid choice or of an ignored explicit argument, an ambiguous option as
+# typed, and the unrecognized arguments joined by spaces; compiled on the
+# first error, not at every start
+_ECHOED = (r"(?s)(?:(?<=invalid choice: )|(?<=ignored explicit argument )"
+           r"|(?<=ambiguous option: )|(?<=unrecognized arguments: ))"
+           r".{41,}?(?=(?: \(choose from [^()]*\)"
+           r"| could match --[\w-]+(?:, --[\w-]+)*)?\Z)")
+
+
 class _Parser(argparse.ArgumentParser):
     # also each subcommand's parser, which add_subparsers makes of its class
 
     def error(self, message):
-        # argparse's own messages echo a value whole (an invalid choice, an
-        # unrecognized argument): each word past 40 characters, unless its
-        # length follows it, is shown by its first 40 and its length
+        # an echoed value past 40 characters is shown by its first 40 and
+        # its length
         super().error(re.sub(
-            r"\S{41,}(?!\S| \(\d+ characters\))",
-            lambda word: f"{word[0][:40]}... ({len(word[0])} characters)",
+            _ECHOED,
+            lambda echo: f"{echo[0][:40]}... ({len(echo[0])} characters)",
             message))
 
 

@@ -16,7 +16,7 @@ relevant map make the transform fail, loudly.
 from __future__ import annotations
 
 from functools import total_ordering
-from operator import attrgetter, is_
+from operator import attrgetter, is_, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -108,7 +108,15 @@ def _quote(value: object) -> str:
         skip = (size.bit_length() - 1) * 30102 // 100000 - 40
         top = "-" * (value < 0) + str(size // 10 ** skip)
         return f"{top[:40]}... ({skip + len(top)} characters)"
-    text = value if isinstance(value, str) else repr(value)
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except Exception:
+        # repr raised, as for a container of an int past that limit: the
+        # type and, where it has one, the length stand for the value
+        try:
+            return f"<{type(value).__name__} of {len(value)} items>"
+        except Exception:
+            return f"<{type(value).__name__}>"
     if len(text) <= 40:
         return repr(value)
     start = repr(text[:40]) if isinstance(value, str) else text[:40]
@@ -264,6 +272,14 @@ class CodeWord(_Record):
                 if other.__class__ is self.__class__ else NotImplemented)
 
 
+class _Words(dict):
+    # a cell's code word by its string, each distinct string parsed once
+
+    def __missing__(self, text):
+        word = self[text] = CodeWord.from_string(text)
+        return word
+
+
 class Square(_Record):
     """An n x n grid of code words, all the same width.
 
@@ -306,28 +322,30 @@ class Square(_Record):
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]],
                      alphabet: Alphabet | None = None) -> "Square":
-        """The square of rows of digit strings, each distinct string parsed
-        once; the Square checks the cells.
+        """The square of rows of digit strings: each row is mapped in one
+        pass, each distinct string parsed once; the Square checks the cells.
 
         A cell that is not a digit string is named by its place, the first
         such cell in row-major order.
         """
-        words: dict = {}
+        words = _Words()
         cells = []
         for i, row in enumerate(rows):
-            line = []
-            for j, text in enumerate(row):
-                try:
+            # held, so that a one-shot row can be walked again
+            row = tuple(row)
+            try:
+                cells.append(tuple(map(words.__getitem__, row)))
+            except (TypeError, ValueError):
+                # an unhashable cell, or a cell that is not a digit string:
+                # the row is walked again to name the first
+                for j, text in enumerate(row):
                     try:
-                        word = words[text]
-                    except KeyError:
-                        word = words[text] = CodeWord.from_string(text)
-                except (TypeError, ValueError):
-                    # an unhashable cell, or a cell that is not a digit string
-                    raise ValueError(f"cell ({i}, {j}) must be a digit "
-                                     f"string, got {_quote(text)}") from None
-                line.append(word)
-            cells.append(tuple(line))
+                        words[text]
+                    except (TypeError, ValueError):
+                        raise ValueError(
+                            f"cell ({i}, {j}) must be a digit string, "
+                            f"got {_quote(text)}") from None
+                raise  # a fault the walk did not meet again
         return cls(tuple(cells), alphabet)
 
     @property
@@ -504,10 +522,15 @@ def _lines(values: Sequence[Sequence[int]]) -> list[Sequence[int]]:
 
 
 def _broken_diagonals(values: Sequence[Sequence[int]]) -> list[list[int]]:
-    # wrap-around diagonals +k and -k interleaved; k = 0 gives the main ones
+    # wrap-around diagonals +k and -k interleaved; k = 0 gives the main ones.
+    # Diagonal +k is column k of the rows each turned left by its index,
+    # diagonal -k column k of the rows each turned right by it; a turned
+    # row is a window of the row written twice
     n = len(values)
-    return [[row[(k + sign * i) % n] for i, row in enumerate(values)]
-            for k in range(n) for sign in (1, -1)]
+    twice = [row * 2 for row in values]
+    plus = zip(*(row[i:i + n] for i, row in enumerate(twice)))
+    minus = zip(*(row[n - i:2 * n - i] for i, row in enumerate(twice)))
+    return [list(d) for pair in zip(plus, minus) for d in pair]
 
 
 def _block_sums(values: Sequence[Sequence[int]], k: int) -> list[int]:
@@ -516,7 +539,7 @@ def _block_sums(values: Sequence[Sequence[int]], k: int) -> list[int]:
         raise BadBlockSize(
             f"block size {_quote(k)} does not tile a square of order {n}")
     # each row's k-wide chunk sums, then k rows of chunks per block row
-    chunks = [[sum(row[j:j + k]) for j in range(0, n, k)] for row in values]
+    chunks = [list(map(sum, zip(*[iter(row)] * k))) for row in values]
     return [s for i in range(0, n, k) for s in map(sum, zip(*chunks[i:i + k]))]
 
 
@@ -529,7 +552,7 @@ def _common(totals: Iterable[int]) -> int | None:
 def _common_sums(lines: list) -> tuple[int | None, int | None]:
     # the sum and the sum of squares shared by all lines
     return (_common(map(sum, lines)),
-            _common(sum(v * v for v in ln) for ln in lines))
+            _common(sum(map(mul, ln, ln)) for ln in lines))
 
 
 class WordTable(dict):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .core import (SUM_PROPERTIES, BadBlockSize, CodeWord, InvalidState,
@@ -51,7 +51,7 @@ def _line_sums(values: Sequence[Sequence[int]]) -> list[LineSum]:
     n = len(values)
     labels = [*(f"row {i}" for i in range(n)), *(f"col {j}" for j in range(n)),
               "diag main", "diag anti"]
-    return [LineSum(label, sum(ln), sum(v * v for v in ln))
+    return [LineSum(label, sum(ln), sum(map(mul, ln, ln)))
             for label, ln in zip(labels, _lines(values))]
 
 

@@ -6,7 +6,8 @@ equations allow; for the bimagic family, full rank over GF(3) by the
 elimination a determinant replaced; for the CLI's JSON writers, the
 documents as dicts for ``json.dumps``; for the checks of ``verify``,
 their line geometry on code words as it was before every check ran on one
-enumeration of plain-int lines; and for the read path, the reader,
+enumeration of plain-int lines, and the broken diagonals and block sums of
+that enumeration by their index formulas; and for the read path, the reader,
 transforms and drawing as they were cell by cell, before each distinct
 word was handled once, and the Square's check of its cells as it went
 through them one by one; for the package's records, the dataclasses they
@@ -26,7 +27,7 @@ from typing import Iterator, Sequence
 from digitsquares import (Alphabet, CodeWord, SearchSpec, Square, decompose,
                           verify)
 from digitsquares.core import (Grid, NonMirrorableDigit, NonRotatableDigit,
-                               ShapeMismatch, _reflect_codeword,
+                               ShapeMismatch, _quote, _reflect_codeword,
                                is_digit_string, rotate_codeword)
 from digitsquares.generate import (_DeadlineHit, _layer_stream,
                                    _prefix_distinct_ok)
@@ -66,7 +67,7 @@ def square_from_strings(rows: Sequence[Sequence[str]],
         i, j = next((i, j) for i, row in enumerate(rows)
                     for j, c in enumerate(row) if not is_digit_string(c))
         raise ValueError(f"cell ({i}, {j}) must be a digit string, "
-                         f"got {rows[i][j]!r}") from None
+                         f"got {_quote(rows[i][j])}") from None
     return Square(cells, alphabet)
 
 
@@ -411,6 +412,24 @@ def _broken_diagonals(square: Square) -> list[LineSum]:
         out.append(_line(f"broken-{k}",
                          [square.cells[i][(k - i) % n] for i in range(n)]))
     return out
+
+
+# The broken diagonals and block sums of a value matrix by their index
+# formulas, as core took them before it took columns of turned rows and
+# sums of zipped chunks.
+def broken_diagonals_by_index(values: Sequence[Sequence[int]]
+                              ) -> list[list[int]]:
+    """Wrap-around diagonals +k and -k interleaved, k = 0 first."""
+    n = len(values)
+    return [[row[(k + sign * i) % n] for i, row in enumerate(values)]
+            for k in range(n) for sign in (1, -1)]
+
+
+def block_sums_by_index(values: Sequence[Sequence[int]], k: int) -> list[int]:
+    """The aligned k x k block sums, block rows first."""
+    n = len(values)
+    chunks = [[sum(row[j:j + k]) for j in range(0, n, k)] for row in values]
+    return [s for i in range(0, n, k) for s in map(sum, zip(*chunks[i:i + k]))]
 
 
 def _common_sums(lines: Sequence[LineSum]) -> tuple[int | None, int | None]:

@@ -1172,11 +1172,18 @@ _XS = "x" * 5000
     ([_XS], f"'{'x' * 39}... (5002 characters)"),
     (["verify", "-", _XS],
      f"unrecognized arguments: {'x' * 40}... (5000 characters)"),
-], ids=["--format=x...", "command=x...", "verify - x..."])
+    # a long value of short words, and a long list of short arguments
+    (["generate", "--line-sum", "3", "--format", "x " * 2500],
+     f"invalid choice: '{'x ' * 19}x... (5002 characters)"),
+    (["verify", "-", *["y"] * 2000],
+     f"unrecognized arguments: {'y ' * 20}... (3999 characters)"),
+], ids=["--format=x...", "command=x...", "verify - x...", "--format=x x ...",
+        "verify - y y ..."])
 def test_argparse_shows_a_long_value_by_its_start_and_length(capsys, argv,
                                                               shown):
-    # argparse's own messages: each word past 40 characters, here the
-    # value's repr or the value, is shown by its first 40 and its length
+    # argparse's own messages: each value they echo past 40 characters,
+    # the repr of an invalid choice or the list of unrecognized arguments,
+    # is shown by its first 40 and its length
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -63,8 +63,10 @@ def test_non_digit_strings_are_rejected_once_checked(text):
     # past Python's int-to-string limit, where repr raises
     (10 ** 5000, f"1{'0' * 39}... (5001 characters)"),
     (-10 ** 5000, f"-1{'0' * 38}... (5002 characters)"),
+    # a container of such an int, whose repr raises too
+    ((10 ** 5000, 10 ** 5000), "<tuple of 2 items>"),
 ], ids=["str-40", "str-41", "int-40", "int-41", "tuple-39", "tuple-42",
-        "int-5001", "int-minus-5002"])
+        "int-5001", "int-minus-5002", "tuple-of-int-5001"])
 def test_a_value_past_40_characters_is_shown_by_its_start(value, shown):
     # a string by its own characters, any other value by those of its repr
     assert _quote(value) == shown
@@ -125,6 +127,10 @@ def test_alphabet_validation():
         Alphabet(())
     with pytest.raises(ValueError):
         Alphabet((1, 1))
+    # a repeated digit past Python's int-to-string limit is refused as one
+    with pytest.raises(ValueError, match=re.escape(
+            "alphabet has repeated digits: <tuple of 2 items>")):
+        Alphabet((10 ** 5000, 10 ** 5000))
     with pytest.raises(ValueError):
         Alphabet.from_string("1a")
     with pytest.raises(ValueError):
@@ -212,6 +218,12 @@ def test_square_shape_validation():
     # a cell that is not a digit string is named like the others
     ([["1", "2"], ["²", "4"]], None,
      "cell (1, 0) must be a digit string, got '²'"),
+    # the last cell of a long row, and a cell of a row read only once: the
+    # row that raised is walked again to name its cell
+    ([["1"] * 299 + ["x"]], None,
+     "cell (0, 299) must be a digit string, got 'x'"),
+    ([["1", "2"], iter(["3", "²"])], None,
+     "cell (1, 1) must be a digit string, got '²'"),
 ])
 def test_square_reports_its_first_bad_cell_in_row_major_order(rows, alphabet,
                                                               message):

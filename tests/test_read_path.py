@@ -75,6 +75,8 @@ def faulty_documents(draw):
 @example(([["12", "12"], ["12", "1"]], None))
 @example(([["0"], ["1"]], None))
 @example(([[]], None))
+# a cell whose repr passes 40 characters is shown by its start
+@example(([[{"": -10 ** 33}, "0"], ["0", "0"]], None))
 def test_from_strings_matches_the_cell_by_cell_reader(doc):
     rows, alphabet = doc
     got = outcome(Square.from_strings, rows, alphabet)
@@ -244,7 +246,10 @@ def composite_document():
     # not magic: layer 1's last cell is 0, so its line sum is null
     Square.from_strings([["10", "22", "01"], ["02", "11", "20"],
                          ["21", "00", "10"]]),
-], ids=["order-162", "order-1", "not-magic"])
+    # each plane holds every digit 0-9
+    Square.from_strings([["09", "18", "27", "36"], ["45", "54", "63", "72"],
+                         ["81", "90", "01", "23"], ["45", "67", "89", "98"]]),
+], ids=["order-162", "order-1", "not-magic", "ten-digits"])
 def test_decompose_writer_matches_json_dumps(square):
     doc = oracle.decompose_document(square)
     layers = [(layer["scale"], layer["line_sum"], layer["rows"])

@@ -7,6 +7,7 @@ both must give the same sums, labels, verdicts and errors on every square.
 """
 
 import math
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ import oracle
 from digitsquares import (CodeWord, Square, check_bimagic, check_blocks,
                           check_magic, check_pandiagonal, entry_properties,
                           line_sums, report)
-from digitsquares.core import ROTATION_180, rotate_codeword
+from digitsquares.core import (ROTATION_180, _block_sums, _broken_diagonals,
+                               rotate_codeword)
 
 ALPHABETS = ("012", "01", "5", "0123456789", "69", "347", "0125689")
 
@@ -161,3 +163,18 @@ def test_rotation_closed_matches_the_multiset_definition(square):
     # the oracle's rotation_closed is Counter(map(rotate_codeword, cells))
     # == Counter(cells), False on a digit with no image
     assert entry_properties(square) == oracle.entry_properties(square)
+
+
+def test_broken_diagonals_and_block_sums_match_their_index_formulas():
+    # columns of turned rows and sums of zipped chunks give the diagonals
+    # and blocks the index formulas give, on lists of rows and on tuples
+    rng = random.Random(29)
+    for n in range(1, 13):
+        values = [[rng.randrange(10 ** 6) for _ in range(n)] for _ in range(n)]
+        for rows in (values, tuple(map(tuple, values))):
+            assert (_broken_diagonals(rows)
+                    == oracle.broken_diagonals_by_index(rows))
+            for k in range(1, n + 1):
+                if n % k == 0:
+                    assert (_block_sums(rows, k)
+                            == oracle.block_sums_by_index(rows, k))
