@@ -125,8 +125,12 @@ def _naming(source: str) -> Iterator[None]:
 
 
 def parse_document(text: str, source: str = "<input>") -> Square:
-    """The square of a JSON or CSV document (the first character decides)."""
+    """The square of a JSON or CSV document (the first character decides,
+    after one leading byte order mark, which is skipped)."""
     with _naming(source):
+        if text.startswith("\ufeff"):
+            # as a spreadsheet's "CSV UTF-8" export writes it
+            text = text[1:]
         head = text.lstrip()[:1]
         if head == "{":
             import json

@@ -21,7 +21,6 @@ planes go through the same recompose and re-verify loop as the layer search.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -279,14 +278,6 @@ def _shuffles(rng: random.Random, items: list) -> Iterator[list]:
         yield out
 
 
-def _choices(rng: random.Random, size: int) -> Iterator[int]:
-    # the indexes successive rng.choice calls on `size` items pick: each is
-    # randbelow(size), size.bit_length() bits drawn until the value is below
-    # size
-    draw = functools.partial(rng.getrandbits, size.bit_length())
-    return filter(size.__gt__, iter(draw, -1))
-
-
 def _prefix_distinct_ok(grids: list[Grid], places_left: int,
                         alphabet_size: int) -> bool:
     # cells sharing a digit prefix must still be separable by the remaining
@@ -539,24 +530,52 @@ def _bimagic_planes(spec: SearchSpec, deadline: float | None
             yield _affine_planes(matrix, (0, 0, 0, 0))
         return
     rng = random.Random(spec.seed)
-    # four rng.choice(_ROWS) calls at a time, as row numbers
-    numbers = _choices(rng, len(_ROWS))
-    quads = zip(numbers, numbers, numbers, numbers)
-    masks = _ROW_MASKS
+    # rng.choice(_ROWS) draws getrandbits(7), the top 7 bits of one 32-bit
+    # word, until they are below 72: so of a block of words, the top bytes
+    # below 144 are the picks, twice each row number plus a spare bit.
+    # Every four picks are one matrix, and its rows' line masks OR to
+    # 0xFFFF when both mask bytes do, tested for a whole block at once by
+    # ORing each pick's mask byte with the next three's in one integer.
+    kept = 2 * len(_ROWS)
+    rejects = bytes(range(kept, 256))
+    tables = [bytes(_ROW_MASKS[b >> 1] >> shift & 0xFF for b in range(kept))
+              .ljust(256, b"\0") for shift in (0, 8)]
     seen: set[tuple] = set()
+    picks = b""
     while len(seen) < _BIMAGIC_FAMILY_SIZE:
         if deadline is not None and time.monotonic() > deadline:
             raise _DeadlineHit
-        # about one draw in 11664 is in the family, so this test is hot
-        a, b, c, d = next(quads)
-        if masks[a] | masks[b] | masks[c] | masks[d] != 0xFFFF:
+        start = rng.getstate()
+        top = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(
+            4 * _BLOCK_WORDS, "little")[3::4]
+        carried = len(picks)
+        # the picks after the block's last whole matrix carry over
+        picks += top.translate(None, rejects)
+        whole = len(picks) // 4 * 4
+        covered = -1
+        for table in tables:
+            x = int.from_bytes(picks[:whole].translate(table), "little")
+            covered &= x | x >> 8 | x >> 16 | x >> 24
+        found = covered.to_bytes(whole, "little")[::4]
+        q = found.find(0xFF)
+        while q >= 0:
+            matrix = tuple(_ROWS[b >> 1] for b in picks[4 * q:4 * q + 4])
+            if _full_rank(matrix):
+                break
+            q = found.find(0xFF, q + 1)
+        else:
+            picks = picks[whole:]
             continue
-        matrix = (_ROWS[a], _ROWS[b], _ROWS[c], _ROWS[d])
-        if _full_rank(matrix):
-            offsets = tuple(rng.randrange(3) for _ in range(4))
-            if (matrix, offsets) not in seen:
-                seen.add((matrix, offsets))
-                yield _affine_planes(matrix, offsets)
+        # put rng where the matrix's last pick left it, k words on
+        k = [*itertools.compress(itertools.count(1), map(kept.__gt__, top))
+             ][4 * q + 3 - carried]
+        rng.setstate(start)
+        rng.getrandbits(32 * k)
+        picks = b""
+        offsets = tuple(rng.randrange(3) for _ in range(4))
+        if (matrix, offsets) not in seen:
+            seen.add((matrix, offsets))
+            yield _affine_planes(matrix, offsets)
 
 
 def _line_mask(row: tuple[int, int, int, int]) -> int:
@@ -579,6 +598,8 @@ _ROWS = [r for r in itertools.product(range(3), repeat=4) if r[1] or r[3]]
 # by row number; nonzero for the 48 rows that vary along all four directions
 _ROW_MASKS = [_line_mask(r) for r in _ROWS]
 _BIMAGIC_FAMILY_SIZE = 2304 * 81    # matrices times offsets
+# words the seeded sampler draws at a time
+_BLOCK_WORDS = 4096
 # S2 of every family square, which holds each of the 81 four-digit words
 # over {0, 1, 2} once: verify.s2_from_multiset of those words at order 9
 _BIMAGIC_S2 = 17169495

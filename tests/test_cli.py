@@ -127,12 +127,38 @@ def test_verify_blocks_flag(capsys, ext_path):
     assert "block size 2" in err
 
 
-def test_verify_reads_csv(capsys, tmp_path):
-    path = tmp_path / "sq.csv"
-    path.write_text('# 3,2\n"10","22","01"\n"02","11","20"\n"21","00","12"\n')
-    code, out, _ = run(capsys, "verify", str(path))
+def verify_bytes(capsys, tmp_path, monkeypatch, data, from_stdin):
+    """Run verify on a document's bytes, read from a file or from stdin."""
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        return run(capsys, "verify", "-")
+    path = tmp_path / "doc"
+    path.write_bytes(data)
+    return run(capsys, "verify", str(path))
+
+
+# the byte order mark a spreadsheet's "CSV UTF-8" export starts a file with
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("mark", [b"", BOM], ids=["plain", "bom"])
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_verify_reads_csv(capsys, tmp_path, monkeypatch, mark, from_stdin):
+    data = mark + b'# 3,2\n"10","22","01"\n"02","11","20"\n"21","00","12"\n'
+    code, out, _ = verify_bytes(capsys, tmp_path, monkeypatch, data,
+                                from_stdin)
     assert code == 0
     assert "s1: 33" in out
+
+
+@pytest.mark.parametrize("mark", [b"", BOM], ids=["plain", "bom"])
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_verify_reads_json(capsys, tmp_path, monkeypatch, mark, from_stdin):
+    data = mark + json.dumps(EXT_DOC).encode()
+    code, out, _ = verify_bytes(capsys, tmp_path, monkeypatch, data,
+                                from_stdin)
+    assert code == 0
+    assert "s1: 3333" in out
 
 
 def test_verify_reads_stdin(capsys, monkeypatch):
@@ -268,6 +294,17 @@ MALFORMED = {
         "JSON nested too deeply"),
     "not utf-8": (b'{"order": 1, "width": 1, "rows": [["\xe9"]]}',
                   "not UTF-8 text, byte 36: invalid continuation byte"),
+    # bytes are counted from the file's first, the mark's too
+    "not utf-8 after a byte order mark": (
+        BOM + b'{"order": 1, "width": 1, "rows": [["\xe9"]]}',
+        "not UTF-8 text, byte 39: invalid continuation byte"),
+    # one mark is skipped at the very start only
+    "byte order mark after a blank line": (
+        b"\n" + BOM + b'{"order": 1, "width": 1, "rows": [["1"]]}',
+        "expected '{' (JSON) or '# order,width' (CSV), got '\\ufeff'"),
+    "two byte order marks": (
+        BOM + BOM + b"# 1,1\n1\n",
+        "expected '{' (JSON) or '# order,width' (CSV), got '\\ufeff'"),
     "json integer of 5000 digits": (
         b'{"order": ' + b"9" * 5000 + b', "width": 1}',
         f"invalid JSON: {_too_long_for_int()}"),
@@ -556,12 +593,14 @@ def test_csv_documents_read_like_json_documents(doc):
     csv_text = f"# {doc['order']},{doc['width']}\n" + "".join(
         ",".join(f'"{cell}"' for cell in row) + "\n" for row in doc["rows"])
     read = []
+    # each also after the byte order mark that is skipped
     for text in (json.dumps(doc), csv_text):
-        try:
-            read.append(parse_document(text))
-        except DocumentError:
-            read.append(None)
-    assert read[0] == read[1]
+        for mark in ("", "\ufeff"):
+            try:
+                read.append(parse_document(mark + text))
+            except DocumentError:
+                read.append(None)
+    assert read == read[:1] * 4
 
 
 @settings(deadline=None, max_examples=60)
@@ -828,7 +867,13 @@ class Clock:
         return self.now
 
 
-def test_generate_says_when_the_budget_cuts_the_stream(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["--order", "4", "--width", "4", "--line-sum", "4", "--seed", "3"],
+    # tests its deadline once per block of draws, not once per matrix
+    ["--order", "9", "--width", "4", "--bimagic", "--seed", "3"],
+], ids=["layers", "bimagic"])
+def test_generate_says_when_the_budget_cuts_the_stream(capsys, monkeypatch,
+                                                       argv):
     clock = Clock()
     monkeypatch.setattr(generate, "time", clock)
 
@@ -838,8 +883,7 @@ def test_generate_says_when_the_budget_cuts_the_stream(capsys, monkeypatch):
             clock.now = 1e9
             return super().write(text)
 
-    argv = ["generate", "--order", "4", "--width", "4", "--line-sum", "4",
-            "--seed", "3", "--format", "json"]
+    argv = ["generate", *argv, "--format", "json"]
     code, whole, err = run(capsys, *argv, "--limit", "1")
     assert (code, err) == (0, "")
     clock.now = 0.0

@@ -2,8 +2,10 @@
 seeded draws against the ``random.Random`` routines they stand for, and the
 prefix distinct check against a plain loop."""
 
+import functools
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -73,38 +75,59 @@ def test_shuffles_draw_as_random_shuffle(size):
         assert ours.getstate() == theirs.getstate()
 
 
-def test_choices_draw_as_random_choice():
-    rows = generate._ROWS
-    assert len(rows) == 72
-    for seed in range(200):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        picks = generate._choices(ours, len(rows))
-        for _ in range(8):
-            assert rows[next(picks)] == theirs.choice(rows)
-        assert ours.getstate() == theirs.getstate()
+def next_draw(rng):
+    """The draw rng makes next, taken from a copy so rng does not move."""
+    copy = random.Random()
+    copy.setstate(rng.getstate())
+    return copy.random()
+
+
+line_mask = functools.cache(generate._line_mask)
 
 
 def choice_bimagic_planes(seed, count):
-    """The seeded bimagic sampler drawn with rng.choice, as it was written."""
+    """The seeded bimagic sampler drawn with rng.choice, as it was written:
+    its first ``count`` squares' planes, each with the draw its generator
+    makes next."""
     rng = random.Random(seed)
     seen, planes = set(), []
     while len(planes) < count:
         matrix = tuple(rng.choice(generate._ROWS) for _ in range(4))
-        masks = [generate._line_mask(r) for r in matrix]
+        masks = [line_mask(r) for r in matrix]
         if (masks[0] | masks[1] | masks[2] | masks[3] == 0xFFFF
                 and generate._full_rank(matrix)):
             offsets = tuple(rng.randrange(3) for _ in range(4))
             if (matrix, offsets) not in seen:
                 seen.add((matrix, offsets))
-                planes.append(generate._affine_planes(matrix, offsets))
+                planes.append((generate._affine_planes(matrix, offsets),
+                               next_draw(rng)))
     return planes
 
 
-@pytest.mark.parametrize("seed", [7])
-def test_bimagic_sampler_draws_as_random_choice(seed):
-    spec = SearchSpec(order=9, width=4, bimagic=True, seed=seed)
-    planes = list(itertools.islice(generate._bimagic_planes(spec, None), 3))
-    assert planes == choice_bimagic_planes(seed, 3)
+# blocks of the default size; then of 3 words, and of 1, so that every
+# matrix crosses a block's edge and picks carry from block to block. A
+# square takes about 83,000 words on average and a one-word block about
+# 15 us a word; seeds 2 and 8 reach their second square within 31,000
+@pytest.mark.parametrize("words, seeds, count", [
+    (None, range(6), 15), (3, (2, 8), 2), (1, (2, 8), 2)])
+def test_bimagic_sampler_draws_as_random_choice(monkeypatch, words, seeds,
+                                                count):
+    if words is not None:
+        monkeypatch.setattr(generate, "_BLOCK_WORDS", words)
+    rngs = []
+
+    class Random(random.Random):
+        # the sampler's generator, kept to read its next draw
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(generate, "random", types.SimpleNamespace(Random=Random))
+    for seed in seeds:
+        spec = SearchSpec(order=9, width=4, bimagic=True, seed=seed)
+        planes = [(p, next_draw(rngs[-1])) for p in itertools.islice(
+            generate._bimagic_planes(spec, None), count)]
+        assert planes == choice_bimagic_planes(seed, count), seed
 
 
 def plain_prefix_distinct_ok(grids, places_left, alphabet_size):

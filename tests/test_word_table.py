@@ -65,7 +65,7 @@ def test_one_table_stacks_every_source_as_the_public_path_does():
     before: tuple = ()
     leads = rows = reused = 0
     for spec in SPECS:
-        # a seeded bimagic square costs about 10 ms of draws
+        # a seeded bimagic square costs about 3 ms of draws
         for planes in source(spec, 20 if spec.bimagic else 300):
             n = spec.order
             if not (len(planes) == len(before) and len(before[0]) == n
