@@ -81,8 +81,10 @@ class SquareDocument(_Record):
         return Square.from_strings(self.rows, self.alphabet)
 
 
-def _json_document(square: Square, margin: str = "") -> str:
-    """The JSON document of a square, as ``json.dumps(doc, indent=2)`` writes it.
+def _json_head(square: Square, margin: str) -> str:
+    """The JSON document of a square up to its rows, the same for every
+    square of a stream; with ``_json_rows`` after it, as
+    ``json.dumps(doc, indent=2)`` writes it.
 
     The keys are order, width, alphabet (when the square has one) and rows,
     whose cells are strings, the text each word keeps. Every line starts
@@ -91,11 +93,6 @@ def _json_document(square: Square, margin: str = "") -> str:
     only values are ints and strings of ASCII digits, which JSON writes as
     they stand.
     """
-    return _json_head(square, margin) + _json_rows(square, margin)
-
-
-def _json_head(square: Square, margin: str) -> str:
-    # the document up to its rows, the same for every square of a stream
     nl = "\n" + margin
     head = (f'{margin}{{{nl}  "order": {square.order},'
             f'{nl}  "width": {square.width},')
@@ -381,7 +378,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     square = load_document(args.square)
     result = rotate_square(square) if args.rotate180 else mirror_square(square)
     with _output(args.out) as out:
-        out.write(_json_document(result) + "\n")
+        out.write(_json_head(result, "") + _json_rows(result, "") + "\n")
     return EXIT_OK
 
 

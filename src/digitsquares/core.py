@@ -272,12 +272,15 @@ class CodeWord(_Record):
                 if other.__class__ is self.__class__ else NotImplemented)
 
 
-class _Words(dict):
-    # a cell's code word by its string, each distinct string parsed once
+class _Memo(dict):
+    # a value by its key, made once with make(key) when first asked for
 
-    def __missing__(self, text):
-        word = self[text] = CodeWord.from_string(text)
-        return word
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class Square(_Record):
@@ -328,7 +331,7 @@ class Square(_Record):
         A cell that is not a digit string is named by its place, the first
         such cell in row-major order.
         """
-        words = _Words()
+        words = _Memo(CodeWord.from_string)
         cells = []
         for i, row in enumerate(rows):
             # held, so that a one-shot row can be walked again

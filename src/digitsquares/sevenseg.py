@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .core import CodeWord, Square
+from .core import CodeWord, Square, _Memo
 
 
 class MalformedBlock(ValueError):
@@ -80,30 +80,22 @@ def _layout(bands: list[list[tuple[str, str, str]]]) -> str:
     return "\n".join(out)
 
 
-def _draw_word(word: CodeWord) -> tuple[str, str, str]:
-    return _word(map(_DIGIT_LINES.__getitem__, word.digits))
+def _draw_word(digits: tuple[int, ...]) -> tuple[str, str, str]:
+    return _word(map(_DIGIT_LINES.__getitem__, digits))
 
 
 def render_codeword(word: CodeWord) -> str:
     """Three right-trimmed lines of ASCII for one code word."""
-    return _layout([[_draw_word(word)]])
+    return _layout([[_draw_word(word.digits)]])
 
 
 def render_square(square: Square) -> str:
     """The whole square as ASCII, one blank line between square rows.
 
     Each distinct word is drawn once."""
-    drawn: dict = {}
-    bands = []
-    for row in square.cells:
-        band = []
-        for word in row:
-            lines = drawn.get(word.digits)
-            if lines is None:
-                lines = drawn[word.digits] = _draw_word(word)
-            band.append(lines)
-        bands.append(band)
-    return _layout(bands)
+    drawn = _Memo(_draw_word)
+    return _layout([[drawn[word.digits] for word in row]
+                    for row in square.cells])
 
 
 def _fit_width(width: int, words: int) -> tuple[int, int]:

@@ -20,7 +20,8 @@ import digitsquares
 import oracle
 from digitsquares import (SearchSpec, Square, decompose, gen_square, generate,
                           recompose, render_square)
-from digitsquares.cli import DocumentError, _json_document, main, parse_document
+from digitsquares.cli import (DocumentError, _json_head, _json_rows, main,
+                              parse_document)
 from oracle import square_document
 from test_core import squares
 
@@ -807,10 +808,11 @@ def test_generate_streamed_output_matches_whole_dump(capsys, fmt, limit):
 @given(squares(range(10), orders=(1, 6), widths=(1, 8)))
 def test_json_writer_matches_json_dumps(square):
     doc = square_document(square)
-    assert _json_document(square) == json.dumps(doc, indent=2)
+    assert (_json_head(square, "") + _json_rows(square, "")
+            == json.dumps(doc, indent=2))
     # inside an array every line sits two spaces deeper; the second document
     # reads every cell's text that the first one kept on its word
-    assert (_json_document(square, "  ")
+    assert (_json_head(square, "  ") + _json_rows(square, "  ")
             == json.dumps([doc], indent=2)[2:-2])
 
 

@@ -12,6 +12,7 @@ import oracle
 from digitsquares import (MIRROR, ROTATION_180, Alphabet, CodeWord, SearchSpec,
                           Square, compose_blocks, gen_square, mirror_square,
                           rotate_square)
+from digitsquares import core, sevenseg
 from digitsquares.cli import _json_layers, main
 from digitsquares.core import UnmappableDigit
 from digitsquares.sevenseg import render_square
@@ -240,8 +241,33 @@ def composite_document():
                             for j in range(18)] for i in range(18)])
 
 
+COMPOSITE = composite_document()
+
+
+@pytest.mark.parametrize("owner, name, step", [
+    (CodeWord, "from_string", lambda s: Square.from_strings(s.to_strings())),
+    (core, "_reflect_codeword", rotate_square),
+    (core, "_reflect_codeword", mirror_square),
+    (sevenseg, "_draw_word", render_square),
+], ids=["parse", "rotate", "mirror", "render"])
+def test_each_step_makes_each_distinct_word_once(monkeypatch, owner, name,
+                                                 step):
+    # the composite repeats 81 distinct words over 26244 cells
+    assert len({word.digits for word in COMPOSITE.entries()}) == 81
+    made = []
+    make = getattr(owner, name)
+
+    def counted(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    step(COMPOSITE)
+    assert len(made) == 81
+
+
 @pytest.mark.parametrize("square", [
-    composite_document(),
+    COMPOSITE,
     Square.from_strings([["7"]]),
     # not magic: layer 1's last cell is 0, so its line sum is null
     Square.from_strings([["10", "22", "01"], ["02", "11", "20"],
