@@ -205,14 +205,11 @@ def _output(path: str) -> contextlib.AbstractContextManager[TextIO]:
             else open(path, "w", encoding="utf-8"))
 
 
-def _styled(text: str, code: str) -> str:
+def _verdict(ok: bool) -> str:
+    text, code = ("PASS", "32") if ok else ("FAIL", "31")
     if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
-
-
-def _verdict(ok: bool) -> str:
-    return _styled("PASS", "32") if ok else _styled("FAIL", "31")
 
 
 def _yesno(flag: bool) -> str:
@@ -276,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"block {k}: {common if common is not None else 'none'}")
         print("entries: " + " ".join(
             f"{_label(name)}={_yesno(getattr(rep.entries, name))}"
-            for name in ("palindromic", "distinct", "rotation_closed")))
+            for name in rep.entries._fields))
         if args.lines:
             print("lines:")
             for ln in rep.lines:

@@ -15,7 +15,7 @@ relevant map make the transform fail, loudly.
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import partial, total_ordering
 from operator import attrgetter, is_, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -451,8 +451,8 @@ def recompose(planes: Sequence[Grid], alphabet: Alphabet | None = None, *,
     """Stack digit planes, most significant place first, into a square.
 
     Raises ShapeMismatch unless there are planes and all are n x n for one
-    n, and ValueError for an entry that is not a digit or not in ``alphabet``:
-    the Square checks the cells, as for any square.
+    n, and ValueError, naming the cell, for an entry that is not a digit or
+    not in ``alphabet``: the Square checks the cells, as for any square.
 
     ``words`` takes only a generator stream's WordTable, in place of
     ``alphabet``, and trusts the planes, which come from the package's own
@@ -477,7 +477,19 @@ def _stack(planes: Sequence[Grid]) -> tuple[tuple[CodeWord, ...], ...]:
     for p, plane in enumerate(planes):
         if len(plane) != n or any(len(row) != n for row in plane):
             raise ShapeMismatch(f"plane {p} is not {n} x {n}")
-    return tuple(tuple(map(CodeWord, zip(*rows))) for rows in zip(*planes))
+    cells = []
+    for i, rows in enumerate(zip(*planes)):
+        try:
+            cells.append(tuple(map(CodeWord, zip(*rows))))
+        except ValueError:
+            # the row is walked again to name its first faulty cell
+            for j, digits in enumerate(zip(*rows)):
+                try:
+                    CodeWord(digits)
+                except ValueError as fault:
+                    raise ValueError(f"{fault} in cell ({i}, {j})") from None
+            raise  # a fault the walk did not meet again
+    return tuple(cells)
 
 
 def compose_blocks(blocks: Sequence[Sequence[Square]]) -> Square:
@@ -558,7 +570,7 @@ def _common_sums(lines: list) -> tuple[int | None, int | None]:
             _common(sum(map(mul, ln, ln)) for ln in lines))
 
 
-class WordTable(dict):
+class WordTable(_Memo):
     """Code words over one alphabet by digit tuple, each checked once.
 
     ``table[digits]`` is the CodeWord of a tuple of ints. Its first lookup
@@ -570,7 +582,8 @@ class WordTable(dict):
     """
 
     def __init__(self, alphabet: Alphabet):
-        super().__init__()
+        # not a bound method, which would make the table a reference cycle
+        super().__init__(partial(self._word, alphabet))
         self.alphabet = alphabet
         # the leading planes of the last stack, held so that no other plane
         # takes their place in memory, and per row index their rows and the
@@ -578,12 +591,12 @@ class WordTable(dict):
         self._lead: tuple[Grid, ...] = ()
         self._rows: list[tuple[tuple[tuple[int, ...], ...], dict]] = []
 
-    def __missing__(self, digits: tuple[int, ...]) -> CodeWord:
+    @staticmethod
+    def _word(alphabet: Alphabet, digits: tuple[int, ...]) -> CodeWord:
         word = CodeWord(digits)
         for d in digits:
-            if d not in self.alphabet:
-                raise ValueError(f"digit {d} outside alphabet {self.alphabet}")
-        self[digits] = word
+            if d not in alphabet:
+                raise ValueError(f"digit {d} outside alphabet {alphabet}")
         return word
 
     def stack(self, planes: Sequence[Grid]

@@ -165,9 +165,6 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
     n, s = order, line_sum
     digits = sorted(alphabet.digits)
     lo, hi = digits[0], digits[-1]
-    # ends before a seeded stream draws the shuffle its first cell would
-    if s < n * lo or s > n * hi:
-        return
     members = frozenset(digits)
     # running sums in one list: rows, columns, the wrap-around diagonal
     # classes plus = (j - i) mod n and minus = (i + j) mod n, and one spare

@@ -175,8 +175,8 @@ class PropertyReport(_Record):
             "s2": self.s2,
             **{name: getattr(self, name) for name in SUM_PROPERTIES},
             "blocks": [{"size": k, "sum": s} for k, s in self.blocks],
-            "entries": {name: getattr(self.entries, name) for name in
-                        ("palindromic", "distinct", "rotation_closed")},
+            "entries": {name: getattr(self.entries, name)
+                        for name in self.entries._fields},
             "lines": [{"label": ln.label, "sum": ln.total,
                        "square_sum": ln.square_total} for ln in self.lines],
         }

@@ -292,8 +292,6 @@ def recursive_layer_stream(order: int, alphabet: Alphabet, line_sum: int,
     n, s = order, line_sum
     digits = sorted(alphabet.digits)
     lo, hi = digits[0], digits[-1]
-    if s < n * lo or s > n * hi:
-        return
     members = set(digits)
     grid = [[lo] * n for _ in range(n)]
     rows, cols = [0] * n, [0] * n

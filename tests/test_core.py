@@ -386,6 +386,17 @@ def test_recompose_rejects_digits_that_are_not_ints(digit):
         CodeWord((0, digit))
 
 
+def test_recompose_names_the_first_cell_that_is_not_a_digit(lo_shu):
+    planes = [[list(row) for row in plane] for plane in decompose(lo_shu)]
+    # a fault in the last plane at (2, 1), and one in the first plane after
+    # it in row-major order: the cell, not the plane, comes first
+    planes[-1][2][1] = "x"
+    planes[0][2][2] = 1.0
+    with pytest.raises(ValueError) as caught:
+        recompose(planes, lo_shu.alphabet)
+    assert str(caught.value) == "not a decimal digit: 'x' in cell (2, 1)"
+
+
 def test_palindromic_extend_cells(lo_shu):
     ext = palindromic_extend(lo_shu)
     assert ext.to_strings()[0] == ["1001", "2222", "0110"]

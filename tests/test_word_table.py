@@ -9,16 +9,20 @@ every spec, so the lead changes within a stream and between streams of
 other orders and widths, and width-1 streams of other orders change the
 order under an empty lead. A plane no source makes is judged by the public
 path whatever the table holds, and a word the table refuses is never
-entered in it or in its memo.
+entered in it or in its memo. A stream makes each distinct cell once, and
+a used table is freed by reference counting alone.
 """
 
+import gc
 import itertools
 import re
+import weakref
 from operator import is_
 
 import pytest
 
-from digitsquares import Alphabet, SearchSpec, ShapeMismatch, recompose
+from digitsquares import (Alphabet, SearchSpec, ShapeMismatch, core,
+                          gen_square, recompose)
 from digitsquares.core import WordTable
 from digitsquares.generate import _bimagic_planes, _layer_planes
 
@@ -111,14 +115,14 @@ def float_entry(plane):
     i, j = the_entry(plane, (0, 1, 2))
     value = float(plane[i][j])
     return with_entry(plane, i, j, value), (
-        ValueError, f"not a decimal digit: {value!r}")
+        ValueError, f"not a decimal digit: {value!r} in cell ({i}, {j})")
 
 
 def bool_entry(plane):
     i, j = the_entry(plane, (0, 1))
     value = bool(plane[i][j])
     return with_entry(plane, i, j, value), (
-        ValueError, f"not a decimal digit: {value!r}")
+        ValueError, f"not a decimal digit: {value!r} in cell ({i}, {j})")
 
 
 def outside_entry(plane):
@@ -194,3 +198,38 @@ def test_a_word_the_table_refuses_is_never_entered(digits, message):
     # the table goes on to stack good planes under the same lead
     good = (*planes[:-1], ((0,),))
     assert recompose(good, words=table) == recompose(good, ALPHABET)
+
+
+def test_a_stream_makes_each_cell_once(monkeypatch):
+    # every word of a stream comes from its table, which makes a cell the
+    # first time the stream meets it and hands out that word after
+    made = []
+    word = core.CodeWord
+
+    def counted(digits):
+        made.append(digits)
+        return word(digits)
+
+    spec = SearchSpec(order=4, width=4, line_sums=(4,) * 4, seed=5,
+                      limit=2000)
+    monkeypatch.setattr(core, "CodeWord", counted)
+    squares = list(gen_square(spec))
+    assert len(squares) == 2000
+    cells = {cell for square in squares for row in square.cells
+             for cell in row}
+    assert len(made) == len(cells)
+
+
+def test_a_used_table_is_freed_by_reference_counting():
+    table = WordTable(ALPHABET)
+    for planes in source(spec_with(width=4, deterministic=False), 20):
+        recompose(planes, words=table)
+    freed = weakref.ref(table)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del table
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
