@@ -400,8 +400,8 @@ def _square_stream(spec: SearchSpec,
     Each plane tuple from ``plane_source(spec, deadline)`` is stacked by
     ``recompose`` from a word table kept for the life of the stream, which
     trusts the source's planes: each distinct cell is made and checked
-    against the spec's alphabet once, and each distinct row of the last
-    plane once per run of the same leading planes. ``_reverify`` then
+    against the spec's alphabet once, and each distinct row of the planes
+    once while the table's bounded row memo holds it. ``_reverify`` then
     checks the cells' values, which each word worked out when the table
     made it, and the square is yielded and counted against the limit.
     """

@@ -60,15 +60,28 @@ def decompose_document(square: Square) -> dict:
 # parsed, turned or drawn on its own.
 def square_from_strings(rows: Sequence[Sequence[str]],
                         alphabet: Alphabet | None = None) -> Square:
-    """Square.from_strings as it parsed every cell."""
-    try:
-        cells = tuple(tuple(map(CodeWord.from_string, r)) for r in rows)
-    except ValueError:
-        i, j = next((i, j) for i, row in enumerate(rows)
-                    for j, c in enumerate(row) if not is_digit_string(c))
-        raise ValueError(f"cell ({i}, {j}) must be a digit string, "
-                         f"got {_quote(rows[i][j])}") from None
-    return Square(cells, alphabet)
+    """Square.from_strings as it read each cell in turn: each row's length,
+    then each cell's digit string, its width and its digits."""
+    n = len(rows)
+    if n < 1:
+        raise ShapeMismatch("square must have at least one row")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ShapeMismatch(f"row {i} has {len(row)} cells, expected {n}")
+        for j, text in enumerate(row):
+            if not is_digit_string(text):
+                raise ValueError(f"cell ({i}, {j}) must be a digit string, "
+                                 f"got {_quote(text)}")
+            w = len(rows[0][0])
+            if len(text) != w:
+                raise ShapeMismatch(
+                    f"cell ({i}, {j}) has width {len(text)}, expected {w}")
+            for d in map(int, text):
+                if alphabet is not None and d not in alphabet:
+                    raise ValueError(f"digit {d} in cell ({i}, {j}) outside "
+                                     f"alphabet {alphabet}")
+    return Square(tuple(tuple(map(CodeWord.from_string, row))
+                        for row in rows), alphabet)
 
 
 def check_square_cells(cells, alphabet: Alphabet | None = None) -> None:
@@ -77,13 +90,13 @@ def check_square_cells(cells, alphabet: Alphabet | None = None) -> None:
     n = len(cells)
     if n < 1:
         raise ShapeMismatch("square must have at least one row")
-    # an empty first row fails its length check before w is compared
-    w = cells[0][0].width if cells[0] else 0
     for i, row in enumerate(cells):
         if len(row) != n:
             raise ShapeMismatch(
                 f"row {i} has {len(row)} cells, expected {n}")
         for j, cell in enumerate(row):
+            # row 0 has passed its length check: the first cell sets the width
+            w = cells[0][0].width
             if cell.width != w:
                 raise ShapeMismatch(
                     f"cell ({i}, {j}) has width {cell.width}, expected {w}")

@@ -219,11 +219,16 @@ def test_square_shape_validation():
     ([["1", "2"], ["²", "4"]], None,
      "cell (1, 0) must be a digit string, got '²'"),
     # the last cell of a long row, and a cell of a row read only once: the
-    # row that raised is walked again to name its cell
-    ([["1"] * 299 + ["x"]], None,
+    # cells are walked again to name the cell
+    ([["1"] * 299 + ["x"], *[["1"] * 300] * 299], None,
      "cell (0, 299) must be a digit string, got 'x'"),
     ([["1", "2"], iter(["3", "²"])], None,
      "cell (1, 1) must be a digit string, got '²'"),
+    # a cell that is not a digit string after a stray digit or a narrow
+    # cell: the walk parses each cell as it meets it
+    ([["3", "0"], ["0", "x"]], Alphabet((0, 1, 2)),
+     "digit 3 in cell (0, 0) outside alphabet 012"),
+    ([["00", "0"], ["0", "x"]], None, "cell (0, 1) has width 1, expected 2"),
 ])
 def test_square_reports_its_first_bad_cell_in_row_major_order(rows, alphabet,
                                                               message):
@@ -395,6 +400,13 @@ def test_recompose_names_the_first_cell_that_is_not_a_digit(lo_shu):
     with pytest.raises(ValueError) as caught:
         recompose(planes, lo_shu.alphabet)
     assert str(caught.value) == "not a decimal digit: 'x' in cell (2, 1)"
+
+
+def test_recompose_names_a_stray_digit_before_a_later_cell_not_a_digit():
+    # cell (0, 0) holds 3, outside the alphabet; cell (1, 1) holds "x"
+    with pytest.raises(ValueError) as caught:
+        recompose([((3, 0), (0, "x"))], Alphabet((0, 1, 2)))
+    assert str(caught.value) == "digit 3 in cell (0, 0) outside alphabet 012"
 
 
 def test_palindromic_extend_cells(lo_shu):

@@ -2,28 +2,27 @@
 against the public path ``recompose(planes, alphabet)``.
 
 A table trusts the planes of the generator's own sources and checks only
-each new word. While the leading planes are the same objects and the order
-the same, it keeps the stacked row of words of each distinct row of the
-last plane. Plane tuples from the real sources go through one table for
-every spec, so the lead changes within a stream and between streams of
-other orders and widths, and width-1 streams of other orders change the
-order under an empty lead. A plane no source makes is judged by the public
-path whatever the table holds, and a word the table refuses is never
-entered in it or in its memo. A stream makes each distinct cell once, and
-a used table is freed by reference counting alone.
+each new word. It keeps the stacked row of words of each tuple of plane
+rows at one index, by value, whichever plane a stream varies fastest, and
+empties that memo before it would hold more than ``_MEMO_PLANE_ROWS``
+plane rows. Plane tuples from the real sources go through one table for
+every spec, so rows of other orders and widths meet in one memo. A plane
+no source makes is judged by the public path whatever the table holds, and
+a word the table refuses is never entered in it or in its memo. A stream
+makes each distinct cell once, and a used table is freed by reference
+counting alone.
 """
 
 import gc
 import itertools
 import re
 import weakref
-from operator import is_
 
 import pytest
 
 from digitsquares import (Alphabet, SearchSpec, ShapeMismatch, core,
                           gen_square, recompose)
-from digitsquares.core import WordTable
+from digitsquares.core import _MEMO_PLANE_ROWS, WordTable
 from digitsquares.generate import _bimagic_planes, _layer_planes
 
 ALPHABET = Alphabet((0, 1, 2))
@@ -40,7 +39,7 @@ SPECS = [
                distinct=True, deterministic=True),
     SearchSpec(order=9, width=4, bimagic=True, seed=7),
     SearchSpec(order=9, width=4, bimagic=True, deterministic=True),
-    # no lead: only the order tells these streams' memos apart
+    # one plane: only the length of a row tells these streams' keys apart
     SearchSpec(order=3, width=1, line_sums=(3,), deterministic=True),
     SearchSpec(order=4, width=1, line_sums=(4,), seed=9),
     SearchSpec(order=5, width=1, line_sums=(5,), seed=4),
@@ -59,43 +58,74 @@ def source(spec, count):
     return list(itertools.islice(plane_source(spec, None), count))
 
 
-def memo_rows(table):
-    # the last-plane rows the table keeps a stacked row for, per row index
-    return [set(memo) for _, memo in table._rows]
+def rows_reused(squares):
+    """How many rows of the squares' cells are a row of words handed out
+    before: the same tuple object, which only a memo hands out again."""
+    # each row is held, so that no later row takes its id
+    held = {}
+    reused = 0
+    for square in squares:
+        for row in square.cells:
+            reused += id(row) in held
+            held[id(row)] = row
+    return reused
 
 
 def test_one_table_stacks_every_source_as_the_public_path_does():
     table = WordTable(ALPHABET)
-    before: tuple = ()
-    leads = rows = reused = 0
+    stacked: set = set()
+    squares = []
     for spec in SPECS:
         # a seeded bimagic square costs about 3 ms of draws
         for planes in source(spec, 20 if spec.bimagic else 300):
-            n = spec.order
-            if not (len(planes) == len(before) and len(before[0]) == n
-                    and all(map(is_, planes[:-1], before[:-1]))):
-                # another lead: the memo may hold rows of this lead only
-                leads += 1
-                rows_since_lead: set = set()
-                held = 0
-            rows_since_lead.update(planes[-1])
             square = recompose(planes, words=table)
             assert square == recompose(planes, spec.alphabet)
             assert square.alphabet == spec.alphabet
             assert all(cell is table[cell.digits]
                        for row in square.cells for cell in row)
-            kept = memo_rows(table)
-            assert all(memo <= rows_since_lead for memo in kept)
-            assert sum(map(len, kept)) <= n * len(rows_since_lead)
-            # a row the memo did not gain was handed out from it
-            rows += n
-            reused += n - (sum(map(len, kept)) - held)
-            held = sum(map(len, kept))
-            before = planes
-    # the lead changed within streams, not only between them, and most
-    # rows came from the memo
-    assert leads > 10 * len(SPECS)
-    assert reused > rows / 2
+            # the memo is keyed by the rows the planes held at one index,
+            # and holds this square's rows of words
+            stacked.update(zip(*planes))
+            assert set(table._rows) <= stacked
+            assert all(table._rows[rows] is words
+                       for rows, words in zip(zip(*planes), square.cells))
+            assert len(table._rows) * len(planes) <= _MEMO_PLANE_ROWS
+            squares.append(square)
+    # most rows came from the memo
+    assert rows_reused(squares) > sum(s.order for s in squares) / 2
+
+
+def test_a_palindromic_stream_stacks_its_distinct_rows_once():
+    # a palindromic stream varies its middle planes fastest, so its
+    # leading planes change from one square to the next
+    spec = SearchSpec(order=4, width=8, line_sums=(4,) * 8,
+                      palindromic=True, seed=2)
+    table = WordTable(ALPHABET)
+    squares = [recompose(planes, words=table)
+               for planes in source(spec, 2000)]
+    assert len(squares) == 2000
+    rows = 4 * len(squares)
+    assert rows - rows_reused(squares) < rows / 10
+
+
+def test_the_memo_stays_bounded_past_its_bound():
+    # the 2304 deterministic bimagic squares hold 20,736 rows, of 9600
+    # distinct row tuples of 4 planes: far more plane rows than the memo
+    # may hold
+    spec = spec_with(bimagic=True, deterministic=True)
+    table = WordTable(ALPHABET)
+    emptied = 0
+    held = 0
+    count = 0
+    for planes in _bimagic_planes(spec, None):
+        square = recompose(planes, words=table)
+        assert square == recompose(planes, ALPHABET)
+        assert len(table._rows) * len(planes) <= _MEMO_PLANE_ROWS
+        emptied += len(table._rows) < held
+        held = len(table._rows)
+        count += 1
+    assert count == 2304
+    assert emptied > 0
 
 
 def the_entry(plane, wanted):
@@ -194,8 +224,8 @@ def test_a_word_the_table_refuses_is_never_entered(digits, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         table.stack(planes)
     assert len(table) == 0
-    assert memo_rows(table) == [set()]
-    # the table goes on to stack good planes under the same lead
+    assert table._rows == {}
+    # the table goes on to stack good planes
     good = (*planes[:-1], ((0,),))
     assert recompose(good, words=table) == recompose(good, ALPHABET)
 
