@@ -844,10 +844,15 @@ STREAM = ["generate", "--order", "4", "--width", "4", "--line-sum", "4",
     (["generate", "--order", "4", "--width", "8", "--line-sum", "4",
       "--palindromic", "--seed", "2", "--limit", "2000", "--format", "json"],
      "8dc6d575f17b49c6143d28b05d5dcd16d0c849f6e6dca85beeb1f3773a897efa"),
+    # the whole deterministic GF(3) family, one square per matrix
+    (["generate", "--order", "9", "--width", "4", "--bimagic",
+      "--deterministic", "--limit", "2304", "--format", "json"],
+     "92608fbbb049c2b9e73ab641a1d6174014cd809850bec8fc26b394e869f0ce44"),
 ])
 def test_written_documents_are_pinned(capsys, ext_path, argv, digest):
-    # digests of the output json.dumps wrote before the direct writer, and
-    # of the palindromic stream before its rows were reused
+    # digests of the output json.dumps wrote before the direct writer, of
+    # the palindromic stream before its rows were reused, and of the
+    # bimagic family before its planes were built by rows
     if argv[0] == "transform":
         argv = argv + [ext_path]
     code, out, err = run(capsys, *argv)
