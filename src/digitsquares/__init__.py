@@ -33,7 +33,7 @@ _HOME = {
         "verify"),
 }
 
-_SUBMODULES = ("cli", "core", "generate", "sevenseg", "verify")
+_SUBMODULES = ("cli", "construct", "core", "generate", "sevenseg", "verify")
 
 __all__ = [*_HOME, "__version__"]
 

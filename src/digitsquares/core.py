@@ -79,6 +79,12 @@ class BudgetExhausted(RuntimeError):
     """The time budget ran out before the first square was found."""
 
 
+class _DeadlineHit(Exception):
+    # a plane source's cancellation signal; the emit loop in generate
+    # catches it, so it never escapes a search
+    pass
+
+
 # the yes/no properties of a square's line sums, PropertyReport fields in order
 SUM_PROPERTIES = ("magic", "bimagic", "pandiagonal", "pandiagonal_bimagic")
 

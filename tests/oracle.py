@@ -3,7 +3,8 @@ squares, the recursive backtracker the one-loop search replaced, the
 layer product as it searched every place's stream again on every pass, a
 count of layers made row by row, and the smallest line sum the integer line
 equations allow; for the bimagic family, full rank over GF(3) by the
-elimination a determinant replaced; for the CLI's JSON writers, the
+elimination a determinant replaced, and its digit planes built cell by
+cell; for the CLI's JSON writers, the
 documents as dicts for ``json.dumps``; for the checks of ``verify``,
 their line geometry on code words as it was before every check ran on one
 enumeration of plain-int lines, and the broken diagonals and block sums of
@@ -287,6 +288,19 @@ def gf3_full_rank(matrix: Sequence[Sequence[int]]) -> bool:
             if f:
                 rows[r] = [(x - f * y) % 3 for x, y in zip(rows[r], top)]
     return True
+
+
+# The bimagic family's planes as they were built before each plane's three
+# distinct rows were built once and shared, kept as written.
+def affine_planes(matrix: Sequence[Sequence[int]],
+                  offsets: Sequence[int]) -> tuple[Grid, ...]:
+    """The order-9 digit planes (r . (i1, i0, j1, j0) + offset) mod 3, one
+    per coefficient row r and offset, worked out cell by cell."""
+    return tuple(
+        tuple(tuple((a * (i // 3) + b * (i % 3) + c * (j // 3) + d * (j % 3)
+                     + off) % 3 for j in range(9))
+              for i in range(9))
+        for (a, b, c, d), off in zip(matrix, offsets))
 
 
 # The layer search as it was before it became one loop, kept as written so

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import digitsquares
 import oracle
-from digitsquares import (SearchSpec, Square, decompose, gen_square, generate,
-                          recompose, render_square)
+from digitsquares import (SearchSpec, Square, construct, decompose,
+                          gen_square, generate, recompose, render_square)
 from digitsquares.cli import (DocumentError, _json_head, _json_rows, main,
                               parse_document)
 from oracle import square_document
@@ -881,7 +881,7 @@ def test_multi_pass_streams_are_pinned(capsys, argv, digest):
 
 
 class Clock:
-    """A stand-in for generate's clock: time moves only when told to."""
+    """A stand-in for the searches' clock: time moves only when told to."""
 
     def __init__(self):
         self.now = 0.0
@@ -890,15 +890,23 @@ class Clock:
         return self.now
 
 
+@pytest.fixture
+def clock(monkeypatch):
+    # the layer search and the bimagic construction each read their own
+    # module's clock
+    clock = Clock()
+    monkeypatch.setattr(generate, "time", clock)
+    monkeypatch.setattr(construct, "time", clock)
+    return clock
+
+
 @pytest.mark.parametrize("argv", [
     ["--order", "4", "--width", "4", "--line-sum", "4", "--seed", "3"],
     # tests its deadline once per block of draws, not once per matrix
     ["--order", "9", "--width", "4", "--bimagic", "--seed", "3"],
 ], ids=["layers", "bimagic"])
 def test_generate_says_when_the_budget_cuts_the_stream(capsys, monkeypatch,
-                                                       argv):
-    clock = Clock()
-    monkeypatch.setattr(generate, "time", clock)
+                                                       clock, argv):
 
     class Stdout(io.StringIO):
         # the budget is spent as soon as the first square is written
@@ -920,12 +928,10 @@ def test_generate_says_when_the_budget_cuts_the_stream(capsys, monkeypatch,
 
 
 def test_generate_budget_cuts_a_stream_of_replayed_places(capsys,
-                                                          monkeypatch):
+                                                          monkeypatch, clock):
     # order 3, width 7: five layers per place, so place 1's third pass
     # starts at square 2 * 5**6 + 1, when every inner place replays its
     # record; only place 0 still searches, once per 5**6 squares
-    clock = Clock()
-    monkeypatch.setattr(generate, "time", clock)
     cut = 2 * 5 ** 6 + 1
 
     class Stdout(io.StringIO):
@@ -950,10 +956,9 @@ def test_generate_budget_cuts_a_stream_of_replayed_places(capsys,
 
 
 @pytest.mark.parametrize("limit", ["3", "100"])
-def test_generate_is_silent_when_the_budget_is_not_spent(capsys, monkeypatch,
+def test_generate_is_silent_when_the_budget_is_not_spent(capsys, clock,
                                                          limit):
     # the limit is reached, or the space is exhausted (5 squares), in time
-    monkeypatch.setattr(generate, "time", Clock())
     code, out, err = run(capsys, "generate", "--order", "3", "--width", "1",
                          "--line-sum", "3", "--deterministic", "--limit",
                          limit, "--budget-ms", "1000")

@@ -18,10 +18,10 @@ from digitsquares import (Alphabet, BudgetExhausted, CodeWord, SearchSpec,
                           check_blocks, check_magic, compose_blocks, decompose,
                           entry_properties, gen_square, palindromic_extend,
                           recompose)
-from digitsquares import generate, verify
+from digitsquares import construct, generate, verify
 from digitsquares.generate import _layer_stream, bimagic_search
-from oracle import (OracleTooLarge, brute_force_squares, count_layers,
-                    gf3_full_rank, smallest_line_sum)
+from oracle import (OracleTooLarge, affine_planes, brute_force_squares,
+                    count_layers, gf3_full_rank, smallest_line_sum)
 
 A012 = Alphabet((0, 1, 2))
 
@@ -610,7 +610,7 @@ def test_bimagic_recode_to_width_6():
 def test_bimagic_family_is_pinned():
     # the ordered matrices of the deterministic stream; the digest was taken
     # from the determinant-based enumeration that the line masks replaced
-    matrices = list(generate._family_matrices())
+    matrices = list(construct._family_matrices())
     assert len(matrices) == 2304
     assert hashlib.sha256(repr(matrices).encode()).hexdigest() == (
         "b02cd08c2325ca247263c8c88cf3b3ee9be8f92d39dcce27fd7482049d2f5210")
@@ -621,10 +621,10 @@ def test_full_rank_determinant_agrees_with_elimination(monkeypatch):
     # then a seeded sample of all 4x4 matrices over GF(3), of which
     # 1 - (2/3)(8/9)(26/27)(80/81), about 44 %, are singular
     decided = []
-    full_rank = generate._full_rank
-    monkeypatch.setattr(generate, "_full_rank",
+    full_rank = construct._full_rank
+    monkeypatch.setattr(construct, "_full_rank",
                         lambda m: decided.append(m) or full_rank(m))
-    assert len(list(generate._family_matrices())) == 2304
+    assert len(list(construct._family_matrices())) == 2304
     assert len(decided) == 9216
     rng = random.Random(25)
     sample = [tuple(tuple(rng.randrange(3) for _ in range(4))
@@ -634,11 +634,29 @@ def test_full_rank_determinant_agrees_with_elimination(monkeypatch):
     assert 1200 < sum(not full_rank(m) for m in sample) < 1450
 
 
+def test_the_planes_built_by_rows_are_the_planes_built_by_cells():
+    # every family matrix at zero offsets and at one seeded offset, then a
+    # seeded sample of 30 matrices at all 81 offsets: 7038 cases
+    matrices = list(construct._family_matrices())
+    rng = random.Random(37)
+    some = tuple(rng.randrange(3) for _ in range(4))
+    cases = [(m, offsets) for m in matrices for offsets in ((0,) * 4, some)]
+    cases += itertools.product(rng.sample(matrices, 30),
+                               itertools.product(range(3), repeat=4))
+    for matrix, offsets in cases:
+        planes = construct._affine_planes(matrix, offsets)
+        assert planes == affine_planes(matrix, offsets), (matrix, offsets)
+        # the word table and Grid see rows of plain ints either way
+        rows = [row for plane in planes for row in plane]
+        assert {type(row) for row in rows} == {tuple}
+        assert set(map(type, itertools.chain.from_iterable(rows))) == {int}
+
+
 def test_bimagic_family_squares_verify_with_any_offsets():
     rng = random.Random(11)
-    for matrix in rng.sample(list(generate._family_matrices()), 30):
+    for matrix in rng.sample(list(construct._family_matrices()), 30):
         offsets = tuple(rng.randrange(3) for _ in range(4))
-        sq = recompose(generate._affine_planes(matrix, offsets), A012)
+        sq = recompose(construct._affine_planes(matrix, offsets), A012)
         assert check_bimagic(sq) == (9999, 17169495)
         assert check_blocks(sq, 3) == 9999
         assert len(set(sq.entries())) == 81
@@ -660,7 +678,7 @@ def test_bimagic_budget_zero(deterministic):
 
 
 def test_bimagic_seeded_stream_ends_with_the_family(monkeypatch):
-    monkeypatch.setattr(generate, "_BIMAGIC_FAMILY_SIZE", 5)
+    monkeypatch.setattr(construct, "_BIMAGIC_FAMILY_SIZE", 5)
     spec = SearchSpec(order=9, width=4, bimagic=True, limit=10, seed=1)
     squares = list(gen_square(spec))
     assert len(squares) == 5
@@ -669,7 +687,7 @@ def test_bimagic_seeded_stream_ends_with_the_family(monkeypatch):
 
 def test_bimagic_reverify_rejects_a_broken_square():
     spec = SearchSpec(order=9, width=4, bimagic=True, deterministic=True)
-    planes = list(generate._affine_planes(next(generate._family_matrices()),
+    planes = list(construct._affine_planes(next(construct._family_matrices()),
                                           (0, 0, 0, 0)))
     # swapping two cells of one row keeps every row sum but breaks columns
     row = list(planes[3][0])

@@ -14,7 +14,7 @@ import digitsquares
 from digitsquares import cli, core, generate, verify
 
 SRC = Path(digitsquares.__file__).parents[1]
-SUBMODULES = ("cli", "core", "generate", "sevenseg", "verify")
+SUBMODULES = ("cli", "construct", "core", "generate", "sevenseg", "verify")
 
 # written at the exit of a child interpreter: the package modules it loaded
 DUMP_AT_EXIT = """\
@@ -65,7 +65,11 @@ def loaded(tmp_path, *argv, stdin=""):
      {"cli", "core", "generate"}),
     # the bimagic path re-verifies against S2 as a constant
     (["generate", "--order", "9", "--width", "4", "--bimagic"],
-     {"cli", "core", "generate"}),
+     {"cli", "core", "generate", "construct"}),
+    # a layer search, with every option it shares with no construction,
+    # loads no construction
+    (["generate", "--order", "3", "--width", "4", "--line-sum", "3",
+      "--distinct", "--palindromic"], {"cli", "core", "generate"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     code, submodules, timed, others = loaded(tmp_path, *argv, stdin=DOC)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitsquares import Alphabet, SearchSpec, generate
+from digitsquares import Alphabet, SearchSpec, construct, generate
 from digitsquares.generate import _layer_stream
 from oracle import recursive_layer_stream
 
@@ -82,7 +82,7 @@ def next_draw(rng):
     return copy.random()
 
 
-line_mask = functools.cache(generate._line_mask)
+line_mask = functools.cache(construct._line_mask)
 
 
 def choice_bimagic_planes(seed, count):
@@ -92,14 +92,14 @@ def choice_bimagic_planes(seed, count):
     rng = random.Random(seed)
     seen, planes = set(), []
     while len(planes) < count:
-        matrix = tuple(rng.choice(generate._ROWS) for _ in range(4))
+        matrix = tuple(rng.choice(construct._ROWS) for _ in range(4))
         masks = [line_mask(r) for r in matrix]
         if (masks[0] | masks[1] | masks[2] | masks[3] == 0xFFFF
-                and generate._full_rank(matrix)):
+                and construct._full_rank(matrix)):
             offsets = tuple(rng.randrange(3) for _ in range(4))
             if (matrix, offsets) not in seen:
                 seen.add((matrix, offsets))
-                planes.append((generate._affine_planes(matrix, offsets),
+                planes.append((construct._affine_planes(matrix, offsets),
                                next_draw(rng)))
     return planes
 
@@ -113,7 +113,7 @@ def choice_bimagic_planes(seed, count):
 def test_bimagic_sampler_draws_as_random_choice(monkeypatch, words, seeds,
                                                 count):
     if words is not None:
-        monkeypatch.setattr(generate, "_BLOCK_WORDS", words)
+        monkeypatch.setattr(construct, "_BLOCK_WORDS", words)
     rngs = []
 
     class Random(random.Random):
@@ -122,11 +122,12 @@ def test_bimagic_sampler_draws_as_random_choice(monkeypatch, words, seeds,
             super().__init__(seed)
             rngs.append(self)
 
-    monkeypatch.setattr(generate, "random", types.SimpleNamespace(Random=Random))
+    monkeypatch.setattr(construct, "random",
+                        types.SimpleNamespace(Random=Random))
     for seed in seeds:
         spec = SearchSpec(order=9, width=4, bimagic=True, seed=seed)
         planes = [(p, next_draw(rngs[-1])) for p in itertools.islice(
-            generate._bimagic_planes(spec, None), count)]
+            construct._bimagic_planes(spec, None), count)]
         assert planes == choice_bimagic_planes(seed, count), seed
 
 

@@ -20,8 +20,9 @@ import itertools
 import pytest
 
 from digitsquares import (CodeWord, SearchSpec, check_bimagic, check_blocks,
-                          check_magic, check_pandiagonal, entry_properties,
-                          generate, recompose, s2_from_multiset)
+                          check_magic, check_pandiagonal, construct,
+                          entry_properties, generate, recompose,
+                          s2_from_multiset)
 
 BIMAGIC_S2 = s2_from_multiset(
     [CodeWord(w) for w in itertools.product((0, 1, 2), repeat=4)], 9)
@@ -56,7 +57,7 @@ def stream_accepts(planes, spec):
 
 
 def source(spec):
-    plane_source = (generate._bimagic_planes if spec.bimagic
+    plane_source = (construct._bimagic_planes if spec.bimagic
                     else generate._layer_planes)
     return plane_source(spec, None)
 

@@ -23,7 +23,8 @@ import pytest
 from digitsquares import (Alphabet, SearchSpec, ShapeMismatch, core,
                           gen_square, recompose)
 from digitsquares.core import _MEMO_PLANE_ROWS, WordTable
-from digitsquares.generate import _bimagic_planes, _layer_planes
+from digitsquares.construct import _bimagic_planes
+from digitsquares.generate import _layer_planes
 
 ALPHABET = Alphabet((0, 1, 2))
 
