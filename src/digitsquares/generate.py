@@ -1,4 +1,4 @@
-"""Search and construction of digit squares.
+"""Digit-square search, and the emit loop it shares with every construction.
 
 The workhorse is a digit-plane search: a square of width d with constant
 per-place line sums s_p is a stack of d single-digit layers, each of which
