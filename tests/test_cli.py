@@ -848,11 +848,20 @@ STREAM = ["generate", "--order", "4", "--width", "4", "--line-sum", "4",
     (["generate", "--order", "9", "--width", "4", "--bimagic",
       "--deterministic", "--limit", "2304", "--format", "json"],
      "92608fbbb049c2b9e73ab641a1d6174014cd809850bec8fc26b394e869f0ce44"),
+    # seeded distinct searches, whose last place walks thousands of layers
+    # before one gives distinct cells
+    (["generate", "--order", "5", "--width", "4", "--line-sum", "5",
+      "--distinct", "--seed", "16", "--format", "json"],
+     "8df906f83d33e8954d09ab5225c810c253af07447c7bd15f8f47dba328c9db38"),
+    (["generate", "--order", "6", "--width", "4", "--line-sum", "6",
+      "--distinct", "--seed", "2", "--format", "json"],
+     "7cb398177242767e917b88766769cc89cadc4b34f11ee2253c6dc979f741eda6"),
 ])
 def test_written_documents_are_pinned(capsys, ext_path, argv, digest):
     # digests of the output json.dumps wrote before the direct writer, of
-    # the palindromic stream before its rows were reused, and of the
-    # bimagic family before its planes were built by rows
+    # the palindromic stream before its rows were reused, of the bimagic
+    # family before its planes were built by rows, and of the distinct
+    # searches before the last place refused repeated cells in its walk
     if argv[0] == "transform":
         argv = argv + [ext_path]
     code, out, err = run(capsys, *argv)
