@@ -9,7 +9,8 @@ layer stream per place. A place's stream is the same on every pass of the
 product: it is searched on its first pass, searched and recorded on the
 pass after its first run-out, and replayed from the record after that. A
 record holds at most all of that place's layers, each row stored once and
-shared. The resulting line sum is exact:
+shared. The first pass of a distinct request's last place refuses repeated
+cells inside its walk. The resulting line sum is exact:
 
     S1 = sum over places p of s_p * 10**(d-1-p)
 
@@ -18,13 +19,15 @@ so a 9x9 square over {0, 1, 2} with every layer summing to 9 has S1 = 9999.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 import random
 import time
+from array import array
 from collections import Counter
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from .core import (Alphabet, BudgetExhausted, Grid, Square, Unsatisfiable,
                    WordTable, _block_sums, _broken_diagonals, _common_sums,
@@ -36,6 +39,12 @@ from .core import (Alphabet, BudgetExhausted, Grid, Square, Unsatisfiable,
 # the recursion-limit rule these replace, so no request it took is refused
 _MAX_ORDER = 31
 _MAX_PLACES = 961
+
+# a walk that refuses repeated cells counts the skipped rows' draws, keeping
+# at most this many counts of its last branching row, and makes them this
+# many shuffles at a time between tests of the deadline
+_TAIL_MEMO = 4096
+_SKIP_STEP = 1024
 
 
 class SearchSpec(_Record):
@@ -137,7 +146,8 @@ class SearchSpec(_Record):
 def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                   pandiagonal: bool = False,
                   rng: random.Random | None = None,
-                  deadline: float | None = None) -> Iterator[Grid]:
+                  deadline: float | None = None,
+                  taken: list[Hashable] | None = None) -> Iterator[Grid]:
     """Backtracking enumeration of single-digit magic layers, as grids.
 
     One loop walks the cells of rows 0 to n-2 in row-major order and keeps,
@@ -153,6 +163,14 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
     grid. An ``rng`` (a ``random.Random``) shuffles the digits of every
     branching cell entered, with the draws ``rng.shuffle`` makes; that
     changes the order of the grids but not their set.
+
+    ``taken``, one key per cell in row-major order, refuses repeated
+    cells: a row of rows 0 to n-2 that holds some (key, digit) pair twice,
+    or one a row above holds, is refused at its forced last cell, and the
+    rows below it are not walked. The last row is left to the caller. The
+    stream is then the unpruned one without the refused grids, in the same
+    order: draws are made for every branching cell the unpruned walk
+    enters, and for the skipped rows they are made without the shuffles.
     """
     n, s = order, line_sum
     digits = sorted(alphabet.digits)
@@ -192,6 +210,113 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                  else _shuffles(rng, digits))
     grid = [0] * (n * (n - 1))
     todo: list[Iterator[int] | None] = [None] * len(grid)
+    keys = None
+    if taken is not None:
+        # a (key, digit) pair as one int; held[i] holds rows 0 to i-1's
+        ids: dict[Hashable, int] = {}
+        keys = [ids.setdefault(key, len(ids)) * (hi + 1) for key in taken]
+        held = [frozenset()] * (n - 1)
+        # the first cell of the last branching row, and the sums and bounds
+        # of its branching cells
+        tail = (n - 2) * n
+        tail_cells = [(c, bp, bq, rlo, rhi, clo, chi) for
+                      _, c, _, _, _, bp, bq, rlo, rhi, clo, chi
+                      in cells[tail:tail + n - 1]]
+        # the counts by ascending key: an array of keys and a list of counts
+        # hold a count in about 16 bytes, where a dict takes about 70
+        memo_keys, memo_counts = array("q"), []
+
+    def tail_entries() -> int:
+        # the branching cells of the last branching row the unpruned walk
+        # enters at the current sums: cell j once per way to fill cells 0 to
+        # j-1 within their ranges and the row's bounds. A cell's range is
+        # what its column and diagonals allow, clipped to [lo, hi]; the
+        # count is kept per ranges up to the first empty one, keyed by the
+        # base hi+1 digits of each range's ends after a leading 1
+        ranges, key = [], 1
+        for c, bp, bq, _, _, clo, chi in tail_cells:
+            x, y, z = sums[c], sums[bp], sums[bq]
+            a, b = max(clo - min(x, y, z), lo), min(chi - max(x, y, z), hi)
+            if a > b:
+                break
+            ranges.append((a, b))
+            key = (key * (hi + 1) + a) * (hi + 1) + b
+        i = bisect.bisect_left(memo_keys, key)
+        if i < len(memo_keys) and memo_keys[i] == key:
+            return memo_counts[i]
+        count, ways = 0, {0: 1}
+        for j, (_, _, _, rlo, rhi, _, _) in enumerate(tail_cells):
+            count += sum(ways.values())
+            if j == len(ranges):
+                break
+            a, b = ranges[j]
+            step: Counter = Counter()
+            for t, w in ways.items():
+                for d in digits:
+                    if a <= d <= b and rlo <= t + d <= rhi:
+                        step[t + d] += w
+            ways = step
+        if key < 1 << 63:
+            # a key past 64 bits is not kept
+            if len(memo_keys) >= _TAIL_MEMO:
+                del memo_keys[:], memo_counts[:]
+                i = 0
+            memo_keys.insert(i, key)
+            memo_counts.insert(i, count)
+        return count
+
+    def entered(start: int) -> int:
+        # the branching cells the unpruned walk enters below the forced cell
+        # start: walked cell by cell, in grid and todo past start, down to
+        # the last branching row, whose entries are counted
+        count = 0
+        k = start
+        while True:
+            if deadline is not None and time.monotonic() > deadline:
+                raise _DeadlineHit
+            if k < tail:
+                r, c, p, q, forced, bp, bq, rlo, rhi, clo, chi = cells[k]
+                x, y, z, row = sums[c], sums[bp], sums[bq], sums[r]
+                low = max(rlo - row, clo - min(x, y, z))
+                high = min(rhi - row, chi - max(x, y, z))
+                if forced:
+                    candidates = ((low,) if low <= high and low in members
+                                  else ())
+                else:
+                    count += 1
+                    candidates = [d for d in digits if low <= d <= high]
+                todo[k] = it = iter(candidates)
+                d = next(it, None)
+            else:
+                count += tail_entries()
+                d = None
+            while d is None:
+                k -= 1
+                if k < start:
+                    return count
+                r, c, p, q = lines[k]
+                d = grid[k]
+                sums[r] -= d
+                sums[c] -= d
+                sums[p] -= d
+                sums[q] -= d
+                d = next(todo[k], None)
+            grid[k] = d
+            sums[r] += d
+            sums[c] += d
+            sums[p] += d
+            sums[q] += d
+            k += 1
+
+    def skip(count: int) -> None:
+        # make count shuffles' draws, testing the deadline between steps
+        while count:
+            if deadline is not None and time.monotonic() > deadline:
+                raise _DeadlineHit
+            step = min(count, _SKIP_STEP)
+            _skip_shuffles(rng, len(digits), step)
+            count -= step
+
     k = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
@@ -218,6 +343,17 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
             if forced:
                 # rlo == rhi == s here, so low == high == s - row if it fits
                 candidates = (low,) if low <= high and low in members else ()
+                if keys is not None and candidates:
+                    a = k + 1 - n
+                    grid[k] = low
+                    pairs = set(map(operator.add, keys[a:k + 1],
+                                    grid[a:k + 1]))
+                    if len(pairs) < n or not held[r].isdisjoint(pairs):
+                        candidates = ()
+                        if rng is not None and r < n - 2:
+                            skip(entered(k))
+                    elif r < n - 2:
+                        held[r + 1] = held[r] | pairs
             else:
                 candidates = next(orderings)
                 if low > lo or high < hi:
@@ -267,6 +403,16 @@ def _shuffles(rng: random.Random, items: list) -> Iterator[list]:
         yield out
 
 
+def _skip_shuffles(rng: random.Random, size: int, count: int) -> None:
+    # the draws count shuffles of size items make, without the shuffles
+    getrandbits = rng.getrandbits
+    swaps = [(i, (i + 1).bit_length()) for i in range(size - 1, 0, -1)]
+    for _ in range(count):
+        for i, bits in swaps:
+            while getrandbits(bits) > i:
+                pass
+
+
 def _prefix_distinct_ok(grids: list[Grid], places_left: int,
                         alphabet_size: int) -> bool:
     # cells sharing a digit prefix must still be separable by the remaining
@@ -275,7 +421,9 @@ def _prefix_distinct_ok(grids: list[Grid], places_left: int,
     budget = alphabet_size ** places_left
     if budget == 1:
         # the count below tests the same, about 3x slower; nearly every
-        # call of a distinct search is at the last place, with budget 1
+        # call of a distinct search is at the last place, with budget 1.
+        # There it is the exact test of the last row, which the first pass's
+        # walk leaves to it, and of every row of a recorded or replayed pass
         return len(set(keys)) == len(keys)
     return max(Counter(keys).values()) <= budget
 
@@ -439,7 +587,11 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
     # walks. A record holds at most all of the place's layers, each row
     # stored once and shared between them; it is made on a pass that
     # repeats a finished pass, so it never holds more grids than the first
-    # pass walked.
+    # pass walked. The first pass of a distinct request's last place (above
+    # place 0) refuses cells that repeat a prefix's digits as it walks, and
+    # its draws stay those of the unpruned walk, so the later passes repeat
+    # the unpruned stream; they are recorded and replayed whole, and the
+    # product's prefix test refuses their repeated cells.
     search_width = spec.places
     asize = len(spec.alphabet)
 
@@ -457,9 +609,15 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
             return
         rng = (None if spec.deterministic
                else random.Random(spec.seed * 65537 + place))
+        taken = None
+        if (spec.distinct and place == search_width - 1 > 0
+                and not ran_out[place]):
+            # the cells' digit prefixes, drawn below this place
+            taken = list(zip(*[itertools.chain.from_iterable(g)
+                               for g in grids]))
         stream = _layer_stream(spec.order, spec.alphabet, spec.line_sums[place],
                                pandiagonal=spec.pandiagonal, rng=rng,
-                               deadline=deadline)
+                               deadline=deadline, taken=taken)
         if ran_out[place]:
             rows: dict[tuple[int, ...], tuple[int, ...]] = {}
             for grid in stream:

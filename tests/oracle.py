@@ -1,6 +1,7 @@
 """Oracles for the layer search: exhaustive enumeration of width-1 magic
-squares, the recursive backtracker the one-loop search replaced, the
-layer product as it searched every place's stream again on every pass, a
+squares, the recursive backtracker the one-loop search replaced and the
+grids of it that hold no repeated cell above the last row, the layer
+product as it searched every place's stream again on every pass, a
 count of layers made row by row, and the smallest line sum the integer line
 equations allow; for the bimagic family, full rank over GF(3) by the
 elimination a determinant replaced, and its digit planes built cell by
@@ -368,6 +369,19 @@ def recursive_layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                 minus[km] -= d
 
     yield from fill(0)
+
+
+# What the layer search given ``taken`` keeps of the search as it was
+# before it refused repeated cells: the grids whose rows 0 to n-2 hold each
+# (key, digit) pair once.
+def without_repeated_cells(grids: Sequence[Grid],
+                           taken: Sequence) -> list[Grid]:
+    kept = []
+    for grid in grids:
+        pairs = list(zip(taken, itertools.chain.from_iterable(grid[:-1])))
+        if len(set(pairs)) == len(pairs):
+            kept.append(grid)
+    return kept
 
 
 # The layer product as it was before a place's stream was recorded and

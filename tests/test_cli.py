@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -1107,6 +1108,22 @@ def test_generate_deepest_allowed_search_runs(order, width):
     assert proc.returncode == 0, proc.stderr
     (doc,) = json.loads(proc.stdout)
     assert (doc["order"], doc["width"]) == (int(order), int(width))
+
+
+@pytest.mark.parametrize("argv", [
+    # reaches its last place at once, and spends its budget there counting
+    # the draws of the rows its refusals skip
+    ["--order", "8", "--width", "5", "--line-sum", "8", "--seed", "3"],
+    # the largest order; its first place finds no layer in time
+    ["--order", "31", "--width", "3", "--line-sum", "140", "--alphabet",
+     "0123456789"],
+], ids=["order-8", "order-31"])
+def test_generate_distinct_search_ends_at_its_budget(argv):
+    start = time.monotonic()
+    proc = run_child("generate", *argv, "--distinct", "--budget-ms", "300")
+    assert time.monotonic() - start < 20
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "out of budget: no square found within 300 ms\n"
 
 
 def test_generate_bimagic(capsys, tmp_path):

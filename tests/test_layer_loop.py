@@ -1,5 +1,6 @@
 """The one-loop layer search against the recursive search it replaced, its
-seeded draws against the ``random.Random`` routines they stand for, and the
+seeded draws against the ``random.Random`` routines they stand for, the
+search that refuses repeated cells against the unpruned search, and the
 prefix distinct check against a plain loop."""
 
 import functools
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsquares import Alphabet, SearchSpec, construct, generate
+from digitsquares.core import _DeadlineHit
 from digitsquares.generate import _layer_stream
-from oracle import recursive_layer_stream
+from oracle import recursive_layer_stream, without_repeated_cells
 
 ALPHABETS = [(0, 1, 2), (0, 1), (1, 2, 3), (0, 2, 5), (0, 9), (3, 4, 7, 8),
              (5,)]
@@ -73,6 +75,124 @@ def test_shuffles_draw_as_random_shuffle(size):
             theirs.shuffle(expected)
             assert next(shuffles) == expected
         assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_skipped_shuffles_draw_as_shuffles(size):
+    for seed, count in itertools.product(range(20), (0, 1, 2, 5, 40)):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        generate._skip_shuffles(ours, size, count)
+        shuffles = generate._shuffles(theirs, list(range(size)))
+        for _ in range(count):
+            next(shuffles)
+        assert ours.getstate() == theirs.getstate(), (seed, count)
+
+
+def real_prefix(order, places):
+    """The keys a seeded distinct product over {0, 1, 2} with line sum
+    ``order`` hands its last place, the digits its first ``places`` places
+    put in each cell: each place's first layer whose cells' groups still fit
+    the places left."""
+    grids = []
+    for place in range(places):
+        for grid in _layer_stream(order, Alphabet((0, 1, 2)), order,
+                                  rng=random.Random(place)):
+            if generate._prefix_distinct_ok(grids + [grid], places - place, 3):
+                grids.append(grid)
+                break
+    return list(zip(*[itertools.chain.from_iterable(g) for g in grids]))
+
+
+def groupings(order):
+    """Keys from real distinct prefixes of the fewest places that leave
+    room for n*n cells and of one more, and random groupings into one
+    group, two, one per row and one per cell."""
+    places = 1
+    while 3 ** (places + 1) < order * order:
+        places += 1
+    yield real_prefix(order, places)
+    yield real_prefix(order, places + 1)
+    rng = random.Random(order)
+    for groups in (1, 2, order, order * order):
+        yield [rng.randrange(groups) for _ in range(order * order)]
+
+
+REFUSALS = ([(3, d, s, p) for d in ((0, 1, 2), (0, 2, 5)) for s in range(3, 13)
+             for p in (False, True)]
+            + [(4, (0, 1, 2), s, p) for s in range(1, 8) for p in (False, True)]
+            + [(4, d, s, False) for d in ((0, 1), (3, 4, 7, 8))
+               for s in (4 * min(d) + 2, 4 * min(d) + 3, 2 * min(d) + 2 * max(d))]
+            + [(5, (0, 1, 2), s, False) for s in (2, 8)]
+            + [(5, (0, 1, 2), 3, True)])
+
+
+@pytest.mark.parametrize("order, digits, line_sum, pandiagonal", REFUSALS)
+def test_refusing_search_skips_exactly_the_unpruned_draws(
+        order, digits, line_sum, pandiagonal):
+    # exhausted, the refusing search yields the grids of the unpruned search
+    # it keeps, in their order, and leaves its generator where the unpruned
+    # search does, so each skip made exactly the draws of the rows it skipped
+    alphabet = Alphabet(digits)
+    for seed in (None, 1, 7):
+        theirs = None if seed is None else random.Random(seed)
+        grids = list(recursive_layer_stream(order, alphabet, line_sum,
+                                            pandiagonal, theirs))
+        for taken in groupings(order):
+            assert len(taken) == order * order
+            ours = None if seed is None else random.Random(seed)
+            refused = list(_layer_stream(order, alphabet, line_sum,
+                                         pandiagonal, ours, taken=taken))
+            assert refused == without_repeated_cells(grids, taken), (taken,
+                                                                     seed)
+            if seed is not None:
+                assert ours.getstate() == theirs.getstate(), (taken, seed)
+
+
+class Ticks:
+    """A stand-in for the search's clock that moves one tick per reading."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self):
+        self.now += 1
+        return self.now
+
+
+def test_the_count_of_skipped_rows_meets_the_deadline(monkeypatch):
+    # with every key the same, each row is refused at its last cell; below
+    # row 0 of order 31 the count has 28 rows to walk, far more cells than
+    # the deadline's ticks, so it must stop there, before any skipped draw
+    skips = []
+    monkeypatch.setattr(generate, "time", Ticks())
+    monkeypatch.setattr(generate, "_skip_shuffles",
+                        lambda *args: skips.append(args))
+    stream = _layer_stream(31, Alphabet((0, 1, 2)), 31, rng=random.Random(0),
+                           deadline=1000, taken=[0] * 31 ** 2)
+    with pytest.raises(_DeadlineHit):
+        next(stream)
+    assert skips == []
+
+
+def test_a_long_skip_meets_the_deadline_between_its_steps(monkeypatch):
+    # keys repeat from row 28 of order 31 on, so the first refusal there
+    # skips the draws of row 29, more than one step of them; the clock
+    # passes the deadline during the first step
+    clock = types.SimpleNamespace(monotonic=lambda: clock.now, now=0.0)
+    steps = []
+
+    def step(rng, size, count):
+        steps.append(count)
+        clock.now = 2.0
+
+    monkeypatch.setattr(generate, "time", clock)
+    monkeypatch.setattr(generate, "_skip_shuffles", step)
+    stream = _layer_stream(31, Alphabet((0, 1, 2)), 31, rng=random.Random(0),
+                           deadline=1.0,
+                           taken=[*range(28 * 31), *[-1] * (3 * 31)])
+    with pytest.raises(_DeadlineHit):
+        next(stream)
+    assert steps == [generate._SKIP_STEP]
 
 
 def next_draw(rng):

@@ -73,9 +73,11 @@ def test_replayed_planes_match_the_re_searching_product(monkeypatch, order,
 
 
 def test_a_request_that_never_restarts_a_place_records_nothing(monkeypatch):
-    # the search stops inside the first pass of its last place. Its peak is
-    # about 70 KB; a record of that pass's 1,048 grids takes it to 170 KB
-    # with each row stored once, and past 0.5 MB without
+    # the search stops inside the first pass of its last place, which
+    # refuses repeated cells as it walks. Its peak is about 100 KB, with the
+    # counts of the rows that walk skips; a record of the 1,048 grids the
+    # pass walks unpruned adds about 100 KB with each row stored once, and
+    # past 0.5 MB without
     spec = SearchSpec(order=5, width=4, line_sums=(5,) * 4, distinct=True,
                       seed=0)
     starts: Counter = Counter()
