@@ -267,10 +267,14 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
 
     def entered(start: int) -> int:
         # the branching cells the unpruned walk enters below the forced cell
-        # start: walked cell by cell, in grid and todo past start, down to
-        # the last branching row, whose entries are counted
+        # start, which holds grid[start]: walked cell by cell, in grid and
+        # todo past start, down to the last branching row, whose entries are
+        # counted
+        lines_in = lines[start]
+        for x in lines_in:
+            sums[x] += grid[start]
         count = 0
-        k = start
+        k = first = start + 1
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 raise _DeadlineHit
@@ -290,10 +294,8 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
             else:
                 count += tail_entries()
                 d = None
-            while d is None:
+            while d is None and k > first:
                 k -= 1
-                if k < start:
-                    return count
                 r, c, p, q = lines[k]
                 d = grid[k]
                 sums[r] -= d
@@ -301,6 +303,10 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
                 sums[p] -= d
                 sums[q] -= d
                 d = next(todo[k], None)
+            if d is None:
+                for x in lines_in:
+                    sums[x] -= grid[start]
+                return count
             grid[k] = d
             sums[r] += d
             sums[c] += d

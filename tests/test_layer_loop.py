@@ -117,13 +117,16 @@ def groupings(order):
         yield [rng.randrange(groups) for _ in range(order * order)]
 
 
-REFUSALS = ([(3, d, s, p) for d in ((0, 1, 2), (0, 2, 5)) for s in range(3, 13)
-             for p in (False, True)]
-            + [(4, (0, 1, 2), s, p) for s in range(1, 8) for p in (False, True)]
-            + [(4, d, s, False) for d in ((0, 1), (3, 4, 7, 8))
-               for s in (4 * min(d) + 2, 4 * min(d) + 3, 2 * min(d) + 2 * max(d))]
-            + [(5, (0, 1, 2), s, False) for s in (2, 8)]
-            + [(5, (0, 1, 2), 3, True)])
+# every sum at order 3; at order 4 the sums 1 to 7 over {0, 1, 2} and three
+# sums over two other alphabets; at order 5 sums with 160 to 449 layers
+REFUSALS = (
+    [(3, d, s, p) for d in ((0, 1, 2), (0, 2, 5))
+     for s in range(3 * max(d) + 1) for p in (False, True)]
+    + [(4, (0, 1, 2), s, p) for s in range(1, 8) for p in (False, True)]
+    + [(4, (0, 1), s, False) for s in (2, 3, 4)]
+    + [(4, (3, 4, 7, 8), s, False) for s in (14, 15, 22)]
+    + [(5, (0, 1, 2), s, False) for s in (2, 8)]
+    + [(5, (0, 1, 2), 3, True)])
 
 
 @pytest.mark.parametrize("order, digits, line_sum, pandiagonal", REFUSALS)
