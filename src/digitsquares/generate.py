@@ -260,7 +260,6 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
             # a key past 64 bits is not kept
             if len(memo_keys) >= _TAIL_MEMO:
                 del memo_keys[:], memo_counts[:]
-                i = 0
             memo_keys.insert(i, key)
             memo_counts.insert(i, count)
         return count

@@ -151,6 +151,14 @@ def test_refusing_search_skips_exactly_the_unpruned_draws(
                 assert ours.getstate() == theirs.getstate(), (taken, seed)
 
 
+def test_a_refusing_search_that_keeps_one_count_skips_the_same_draws(
+        monkeypatch):
+    # the memo of counts is emptied before each new count it keeps
+    monkeypatch.setattr(generate, "_TAIL_MEMO", 1)
+    for case in [(4, (0, 1, 2), 4, False), (5, (0, 1, 2), 2, False)]:
+        test_refusing_search_skips_exactly_the_unpruned_draws(*case)
+
+
 class Ticks:
     """A stand-in for the search's clock that moves one tick per reading."""
 
