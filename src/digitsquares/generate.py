@@ -418,11 +418,16 @@ def _skip_shuffles(rng: random.Random, size: int, count: int) -> None:
                 pass
 
 
+def _prefixes(grids: list[Grid]) -> list[tuple[int, ...]]:
+    # each cell's digits in the grids, cells in row-major order
+    return list(zip(*[itertools.chain.from_iterable(g) for g in grids]))
+
+
 def _prefix_distinct_ok(grids: list[Grid], places_left: int,
                         alphabet_size: int) -> bool:
     # cells sharing a digit prefix must still be separable by the remaining
     # places: a group larger than alphabet_size**places_left is hopeless
-    keys = list(zip(*[itertools.chain.from_iterable(g) for g in grids]))
+    keys = _prefixes(grids)
     budget = alphabet_size ** places_left
     if budget == 1:
         # the count below tests the same, about 3x slower; nearly every
@@ -617,9 +622,8 @@ def _layer_planes(spec: SearchSpec, deadline: float | None
         taken = None
         if (spec.distinct and place == search_width - 1 > 0
                 and not ran_out[place]):
-            # the cells' digit prefixes, drawn below this place
-            taken = list(zip(*[itertools.chain.from_iterable(g)
-                               for g in grids]))
+            # the digit prefixes the places below put in each cell
+            taken = _prefixes(grids)
         stream = _layer_stream(spec.order, spec.alphabet, spec.line_sums[place],
                                pandiagonal=spec.pandiagonal, rng=rng,
                                deadline=deadline, taken=taken)
