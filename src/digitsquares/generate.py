@@ -268,7 +268,9 @@ def _layer_stream(order: int, alphabet: Alphabet, line_sum: int,
         # the branching cells the unpruned walk enters below the forced cell
         # start, which holds grid[start]: walked cell by cell, in grid and
         # todo past start, down to the last branching row, whose entries are
-        # counted
+        # counted. Its cell step copies the walk's below: a helper for the
+        # bounds would cost a call on every cell of every layer search, and
+        # the exact-draw tests fail if the two copies part
         lines_in = lines[start]
         for x in lines_in:
             sums[x] += grid[start]
