@@ -74,8 +74,9 @@ def test_replayed_planes_match_the_re_searching_product(monkeypatch, order,
 
 def test_a_request_that_never_restarts_a_place_records_nothing(monkeypatch):
     # the search stops inside the first pass of its last place, which
-    # refuses repeated cells as it walks. Its peak is about 100 KB, with the
-    # counts of the rows that walk skips; a record of the 1,048 grids the
+    # refuses repeated cells as it walks. Its peak is about 100 KB run alone
+    # and about 70 KB after other tests, about 8 KB of it the counts of the
+    # rows that walk skips; a record of the 1,048 grids the
     # pass walks unpruned adds about 100 KB with each row stored once, and
     # past 0.5 MB without
     spec = SearchSpec(order=5, width=4, line_sums=(5,) * 4, distinct=True,
